@@ -123,12 +123,17 @@ def _sorted_degrees(report: Report, degrees: tuple[int, ...]) -> tuple[int, ...]
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("EXCODIM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if value is None:
+        env = os.environ.get("EXCODIM_THREADS")
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            value = int(env)
+        except ValueError as exc:
+            raise ParameterError(f"EXCODIM_THREADS must be an integer, got {env!r}") from exc
+    if value < 1:
+        raise ParameterError(f"need at least one thread, got {value}")
+    return value
 
 
 # -- subcommand implementations -------------------------------------------------

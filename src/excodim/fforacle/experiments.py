@@ -5,6 +5,12 @@ negated log_q hit rate of an exhaustive or sampled run estimates the
 codimension and can confront the closed-form predictions.  Sampling is
 counter-based (one stream per fixed-size chunk), so results depend only on
 the seed and configuration, never on the worker count.
+
+The excess experiment works one chunk at a time: a chunk's tuples form one
+(n, coefficients) block, decoded from the tuple indices in exhaustive mode or
+drawn from the chunk's stream in sampled mode.  Linear tuples are ranked as
+one (n, k, r + 1) stack by ``batch_rank``; other tuples go through the
+per-tuple dimension detector.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from ..errors import BudgetError, InvariantError, ParameterError
 from ..strata import span_stratum_exact
 from .fields import Field
 from .hilbert import projective_dim_hilbert
-from .linalg import matrix_rank
+from .linalg import batch_rank, matrix_rank
 from .points import projective_dim_points
 from .polynomials import MultiPoly, monomial_index, monomials, n_monomials
 
@@ -92,6 +98,11 @@ def _run_chunks(fn, chunk_args, workers: int):
         return list(pool.map(fn, chunk_args))
 
 
+def _check_trials(trials: int | None):
+    if trials is not None and trials < 1:
+        raise ParameterError(f"need trials >= 1, got {trials}")
+
+
 def _estimate(hits: int, trials: int, q: int) -> tuple[float | None, str]:
     if hits == 0:
         return None, "inconclusive"
@@ -143,6 +154,7 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     k = len(degrees)
     if a < 1:
         raise ParameterError(f"need a >= 1, got {a}")
+    _check_trials(trials)
     threshold = r - k + a
     if threshold < 0:
         raise ParameterError(f"need r - k + a >= 0, got {threshold}")
@@ -152,18 +164,17 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     dims = [n_monomials(r, d) for d in degrees]
     total = sum(dims)
     space = q**total
+    linear = all(d == 1 for d in degrees)
 
     if mode == "auto":
-        feasible = space <= MAX_EXHAUSTIVE and (
-            all(d == 1 for d in degrees) or space <= SLOW_EXHAUSTIVE_LIMIT
-        )
+        feasible = space <= MAX_EXHAUSTIVE and (linear or space <= SLOW_EXHAUSTIVE_LIMIT)
         mode = "exhaustive" if feasible else "sampled"
     if mode == "exhaustive":
         if space > MAX_EXHAUSTIVE:
             raise BudgetError(
                 f"state space {q}^{total} exceeds the exhaustive cap {MAX_EXHAUSTIVE}"
             )
-        if space > SLOW_EXHAUSTIVE_LIMIT and not all(d == 1 for d in degrees):
+        if space > SLOW_EXHAUSTIVE_LIMIT and not linear:
             raise BudgetError(
                 f"exhaustive run over {q}^{total} tuples with per-sample rank "
                 f"detection is over budget; use sampled mode"
@@ -185,38 +196,37 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
 
     check_every = max(1, trials // max(crosscheck, 1)) if crosscheck else 0
 
-    def handle(sample_index: int, coeff_row) -> int:
-        gens = decode_tuple(coeff_row)
-        dim = common_zero_dim(gens, field, r)
-        if crosscheck and sample_index % check_every == 0 and threshold == 1:
-            _crosscheck_sample(gens, field, r, dim, m_max)
-        return 1 if dim >= threshold else 0
+    def handle_block(first: int, block: np.ndarray) -> int:
+        """Hits among the tuples block[i], whose sample index is first + i."""
+        n = len(block)
+        if linear:
+            # the k x (r+1) coefficient matrix of a linear tuple cuts out a
+            # linear space of projective dimension r - rank
+            sample_dims = r - batch_rank(field, block.reshape(n, k, r + 1))
+        else:
+            sample_dims = np.array(
+                [common_zero_dim(decode_tuple(row), field, r) for row in block]
+            )
+        if crosscheck and threshold == 1:
+            for i in range((-first) % check_every, n, check_every):
+                _crosscheck_sample(decode_tuple(block[i]), field, r, int(sample_dims[i]),
+                                   m_max)
+        return int(np.count_nonzero(sample_dims >= threshold))
 
-    if mode == "exhaustive":
-        def run_range(bounds) -> int:
-            lo, hi = bounds
-            hits = 0
-            coeff_row = np.zeros(total, dtype=np.uint16)
-            for idx in range(lo, hi):
-                v = idx
-                for i in range(total):
-                    v, c = divmod(v, q)
-                    coeff_row[i] = c
-                hits += handle(idx, coeff_row)
-            return hits
-
-        bounds = [(lo, min(lo + CHUNK, space)) for lo in range(0, space, CHUNK)]
-        hits = sum(_run_chunks(run_range, bounds, workers))
-    else:
-        def run_chunk(chunk_index: int) -> int:
-            lo = chunk_index * CHUNK
-            n = min(CHUNK, trials - lo)
+    def run_chunk(chunk_index: int) -> int:
+        lo = chunk_index * CHUNK
+        n = min(CHUNK, trials - lo)
+        if mode == "exhaustive":
+            # tuple idx has the base-q digits of idx as its coefficients
+            idx = np.arange(lo, lo + n, dtype=np.int64)
+            block = ((idx[:, None] // q ** np.arange(total)) % q).astype(np.uint16)
+        else:
             rng = _chunk_rng(seed, chunk_index)
-            rows = rng.integers(0, q, size=(n, total), dtype=np.uint16)
-            return sum(handle(lo + i, rows[i]) for i in range(n))
+            block = rng.integers(0, q, size=(n, total), dtype=np.uint16)
+        return handle_block(lo, block)
 
-        n_chunks = (trials + CHUNK - 1) // CHUNK
-        hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
+    n_chunks = (trials + CHUNK - 1) // CHUNK
+    hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(
@@ -331,6 +341,7 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
         raise ParameterError("the singular experiment runs over characteristic 2")
     if r < 2 or ell < 3:
         raise ParameterError(f"need r >= 2 and ell >= 3, got r={r}, ell={ell}")
+    _check_trials(trials)
     predicted = singular_line_codim(r, ell)
     q = field.q
     n = n_monomials(r, ell)

@@ -309,16 +309,16 @@ def gf(p: int, e: int = 1) -> Field:
 
 def parse_field(spec: str) -> Field:
     """Parse '2', '9', '2^3', or '3,2' into a supported field."""
-    spec = spec.strip()
-    if "^" in spec:
-        p, e = (int(x) for x in spec.split("^"))
-    elif "," in spec:
-        p, e = (int(x) for x in spec.split(","))
-    else:
-        q = int(spec)
+    try:
+        parts = [int(x) for x in spec.replace("^", ",").split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) == 2:
+        return gf(*parts)
+    if len(parts) == 1:
         for p in SUPPORTED_PRIMES:
             for e in SUPPORTED_EXTENSIONS:
-                if p**e == q:
+                if p**e == parts[0]:
                     return gf(p, e)
-        raise ParameterError(f"{q} is not a supported prime power")
-    return gf(p, e)
+        raise ParameterError(f"{parts[0]} is not a supported prime power")
+    raise ParameterError(f"bad field {spec!r}; expected q, p^e or p,e")

@@ -1,8 +1,12 @@
 """Rank computation over the table fields.
 
-Three paths: bitset elimination over GF(2), vectorized modular elimination
-over odd prime fields, and table-lookup elimination for extensions.  Inputs
-are matrices of field codes.
+``batch_rank`` ranks a whole (B, m, n) stack of small matrices with one
+elimination vectorised over the batch axis, using only the field's
+ADD/MUL/NEG/INV tables, so it serves every GF(p^e).  ``matrix_rank`` ranks
+one matrix: bitset elimination over GF(2) and vectorised modular
+elimination over odd prime fields (both faster on single large matrices),
+and ``batch_rank`` on a stack of one for extension fields.  Inputs are
+matrices of field codes.
 """
 
 from __future__ import annotations
@@ -61,28 +65,35 @@ def _rank_prime(matrix: np.ndarray, p: int) -> int:
     return rank
 
 
-def _rank_tables(matrix: np.ndarray, field: Field) -> int:
-    m = matrix.astype(np.uint16).copy()
-    nrows, ncols = m.shape
-    rank = 0
+def batch_rank(field: Field, mats: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, m, n) stack of matrices of field codes.
+
+    Elimination runs column by column over the whole batch at once, with no
+    row swaps.  Each matrix's pivot is its first row with a nonzero entry in
+    the column; that column is cleared from every row, the pivot row
+    included, which zeroes the pivot row so it is never picked again.  Rows
+    are then zero in every column already processed, so only the columns
+    from the current one on are updated.  All arithmetic goes through the
+    field's ADD/MUL/NEG/INV tables, so every field takes this one path.
+    """
+    m = np.array(mats, dtype=np.uint16)
+    nbatch, _, ncols = m.shape
+    ranks = np.zeros(nbatch, dtype=np.int64)
+    batch = np.arange(nbatch)
     for col in range(ncols):
-        if rank >= nrows:
-            break
-        sub = m[rank:, col]
-        nz = np.flatnonzero(sub)
-        if nz.size == 0:
+        nonzero = m[:, :, col] != 0
+        has_pivot = nonzero.any(axis=1)
+        if not has_pivot.any():
             continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = field.MUL[m[rank], int(field.INV[m[rank, col]])]
-        rest = np.flatnonzero(m[:, col])
-        rest = rest[rest != rank]
-        for i in rest:
-            factor = field.NEG[m[i, col]]
-            m[i] = field.ADD[m[i], field.MUL[m[rank], int(factor)]]
-        rank += 1
-    return rank
+        pivot_row = m[batch, nonzero.argmax(axis=1), col:]
+        # row i gets -m[i, col] / pivot times the pivot row; matrices with
+        # no pivot have a zero column, hence a zero factor
+        factor = field.MUL[field.NEG[m[:, :, col]], field.INV[pivot_row[:, :1]]]
+        m[:, :, col:] = field.ADD[
+            m[:, :, col:], field.MUL[factor[:, :, None], pivot_row[:, None, :]]
+        ]
+        ranks += has_pivot
+    return ranks
 
 
 def matrix_rank(field: Field, matrix: np.ndarray) -> int:
@@ -94,4 +105,4 @@ def matrix_rank(field: Field, matrix: np.ndarray) -> int:
         return _rank_gf2_bitrows(rows_to_bitrows(matrix))
     if field.e == 1:
         return _rank_prime(matrix, field.p)
-    return _rank_tables(matrix, field)
+    return int(batch_rank(field, matrix[None])[0])

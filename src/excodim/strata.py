@@ -177,14 +177,13 @@ def g_lower(r: int, a: int, b: int, degrees) -> ExtInt:
 def span_stratum_exact(r: int, a: int, degrees) -> int:
     """Exact codimension of the base stratum (witnesses spanning a linear
     space of the minimal dimension r - k + a)."""
-    degrees = tuple(degrees)
-    k = len(degrees)
-    b0 = r - k + a
+    spec = ProblemSpec(r, a, tuple(degrees))
+    k, b0 = spec.k, spec.base_span
     if b0 < 0:
         raise ParameterError(f"need r - k + a >= 0, got {b0}")
     if a > k:
         raise ParameterError(f"empty locus for a > k (a={a}, k={k}); no finite codimension")
-    return -(b0 + 1) * (k - a) + sum(binomial(d + b0, b0) for d in degrees)
+    return -(b0 + 1) * (k - a) + sum(binomial(d + b0, b0) for d in spec.degrees)
 
 
 def h_gap(r: int, a: int, b: int, degrees) -> ExtInt:

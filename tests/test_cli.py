@@ -144,6 +144,35 @@ def test_argument_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("exact", "--r", "3", "--degrees", "0,3"),
+    ("oracle", "excess", "--r", "2", "--degrees", "0,1", "--mode", "exhaustive"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--field", "abc"),
+    ("oracle", "singular", "--r", "2", "--ell", "3", "--field", "2^x"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--mode", "sampled",
+     "--trials", "0"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--mode", "sampled",
+     "--trials", "-5"),
+    ("oracle", "singular", "--r", "2", "--ell", "3", "--mode", "sampled",
+     "--trials", "0"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--threads", "-1"),
+    ("oracle", "singular", "--r", "2", "--ell", "3", "--threads", "-3"),
+])
+def test_bad_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_bad_threads_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("EXCODIM_THREADS", "x")
+    code, _, err = run_cli(
+        capsys, "oracle", "excess", "--r", "1", "--degrees", "1", "--mode", "exhaustive",
+    )
+    assert code == 2
+    assert "EXCODIM_THREADS" in err
+
+
 def test_budget_errors_exit_3(capsys):
     code, _, err = run_cli(
         capsys, "oracle", "excess", "--r", "3", "--degrees", "2,2", "--a", "1",

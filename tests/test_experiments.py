@@ -6,7 +6,9 @@ import pytest
 
 from excodim.errors import BudgetError, ParameterError
 from excodim.fforacle.experiments import (
+    CHUNK,
     DEFAULT_SEED,
+    _chunk_rng,
     _scalar_representatives,
     common_zero_dim,
     excess_experiment,
@@ -17,7 +19,7 @@ from excodim.fforacle.experiments import (
     singular_experiment,
     singular_membership,
 )
-from excodim.fforacle.fields import gf
+from excodim.fforacle.fields import gf, parse_field
 from excodim.fforacle.hilbert import projective_dim_hilbert
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly, n_monomials
@@ -40,6 +42,30 @@ def test_excess_exhaustive_linear_pairs_f3():
     assert abs(res.est_codim - 2) < 0.8
     res2 = excess_experiment(2, (1, 1), 1, gf(2), mode="exhaustive")
     assert abs(res.est_codim - 2) < abs(res2.est_codim - 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_excess_exhaustive_linear_pairs_closed_form(q):
+    # 2x3 matrices of rank <= 1: zero, or a nonzero column times a nonzero
+    # row up to scale
+    res = excess_experiment(2, (1, 1), 1, parse_field(str(q)), mode="exhaustive")
+    assert (res.trials, res.hits) == (q**6, 1 + (q**2 - 1) * (q**3 - 1) // (q - 1))
+
+
+def test_excess_sampled_linear_matches_row_by_row():
+    field, r, degrees, trials, seed = gf(3), 3, (1, 1, 1), CHUNK + 904, 12
+    one = excess_experiment(r, degrees, 1, field, mode="sampled", trials=trials,
+                            seed=seed, workers=1)
+    two = excess_experiment(r, degrees, 1, field, mode="sampled", trials=trials,
+                            seed=seed, workers=2)
+    assert one.key() == two.key()
+    hits = 0
+    for chunk, n in enumerate((CHUNK, trials - CHUNK)):
+        rows = _chunk_rng(seed, chunk).integers(0, 3, size=(n, 12), dtype=np.uint16)
+        for row in rows:
+            gens = [MultiPoly(field, r, 1, row[4 * i:4 * i + 4]) for i in range(3)]
+            hits += common_zero_dim(gens, field, r) >= 1
+    assert one.hits == hits
 
 
 def test_excess_single_form_on_line():
@@ -89,6 +115,11 @@ def test_excess_budget_guards():
         excess_experiment(3, (2, 2), 1, gf(2), mode="exhaustive")
     with pytest.raises(ParameterError):
         excess_experiment(2, (1, 1), 0, gf(2))
+    for trials in (0, -5):
+        with pytest.raises(ParameterError):
+            excess_experiment(2, (1, 1), 1, gf(2), mode="sampled", trials=trials)
+        with pytest.raises(ParameterError):
+            singular_experiment(2, 3, gf(2), mode="sampled", trials=trials)
 
 
 def test_common_zero_dim_linear_fast_path_matches_detector():
