@@ -280,7 +280,7 @@ def _cmd_apps_lines(args) -> Report:
                verdict.universal_gap if verdict.universal_gap is not None else "n/a",
                "exact", "plane vs Eckardt gap on the universal hypersurface")
     if args.r >= 2:
-        pr = apps.prop2r1_report(args.r) if args.r >= 2 else None
+        pr = apps.prop2r1_report(args.r)
         report.add("tuple_max_codim", pr["max_codim"], "exact",
                    "line component for degrees 2..r+1")
         report.add("tuple_second_codim", pr["second_codim"], "exact",

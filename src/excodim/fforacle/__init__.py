@@ -1,10 +1,10 @@
 """Finite-field verification kernel: field tables, dense multivariate
-polynomials, Hilbert-function ranks, projective point counts, and the
-codimension experiments built on them."""
+polynomials, Hilbert-function ranks, the linear-section dimension test,
+projective point counts, and the codimension experiments built on them."""
 
 from .fields import Field, gf
 from .polynomials import MultiPoly, monomials, n_monomials, poly_from_line, poly_to_line
-from .hilbert import GradedIdealPiece, hilbert_function, projective_dim_hilbert
+from .hilbert import GradedIdealPiece, dim_at_least, hilbert_function, projective_dim_hilbert
 from .points import PointProbe, projective_dim_points, projective_points
 from .experiments import (
     DEFAULT_SEED,
@@ -26,6 +26,7 @@ __all__ = [
     "poly_from_line",
     "poly_to_line",
     "GradedIdealPiece",
+    "dim_at_least",
     "hilbert_function",
     "projective_dim_hilbert",
     "PointProbe",

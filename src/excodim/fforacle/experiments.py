@@ -9,8 +9,16 @@ the seed and configuration, never on the worker count.
 The excess experiment works one chunk at a time: a chunk's tuples form one
 (n, coefficients) block, decoded from the tuple indices in exhaustive mode or
 drawn from the chunk's stream in sampled mode.  Linear tuples are ranked as
-one (n, k, r + 1) stack by ``batch_rank``; other tuples go through the
-per-tuple dimension detector.
+one (n, k, r + 1) stack by ``batch_rank``; every other sample, nonlinear
+tuples and the forms F, dF/dX_0, ..., dF/dX_r of the singular experiment
+beyond the plane, is decided by the linear-section test ``dim_at_least``.
+Its section field and planes are built before the chunks fan out.
+
+In an excess run with r - k + a = 1, about ``crosscheck`` evenly spaced
+samples are also checked against two independent detectors: the
+Hilbert-window dimension must give the same decision, and a conclusive point
+count must be matched by a positive Hilbert dimension.  A failed check raises ``InvariantError`` naming the sample
+as ``poly_to_line`` lines with its seed and chunk, so it can be replayed.
 """
 
 from __future__ import annotations
@@ -26,11 +34,11 @@ import numpy as np
 from ..applications import singular_line_codim
 from ..errors import BudgetError, InvariantError, ParameterError
 from ..strata import span_stratum_exact
-from .fields import Field
-from .hilbert import projective_dim_hilbert
+from .fields import Field, gf
+from .hilbert import dim_at_least, prepare_sections, projective_dim_hilbert, restriction_map
 from .linalg import batch_rank, matrix_rank
 from .points import projective_dim_points
-from .polynomials import MultiPoly, monomial_index, monomials, n_monomials
+from .polynomials import MultiPoly, monomial_index, monomials, n_monomials, poly_to_line
 
 DEFAULT_SEED = 271828
 CHUNK = 4096
@@ -113,7 +121,9 @@ def common_zero_dim(generators, field: Field, r: int) -> int:
     """Projective dimension of the common vanishing locus.
 
     Linear systems are solved exactly by rank (the quotient is a polynomial
-    ring); everything else goes through the Hilbert-function detector.
+    ring); everything else goes through the Hilbert-window detector.  This is
+    the exact-dimension reference; the experiments decide samples with
+    ``dim_at_least``.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -124,22 +134,33 @@ def common_zero_dim(generators, field: Field, r: int) -> int:
     return projective_dim_hilbert(gens, field=field, r=r)
 
 
-def _crosscheck_sample(generators, field: Field, r: int, dim: int, m_max: int):
-    """Dual-detector agreement: a conclusive positive point count must be
-    matched by the rank detector, or the run dies with a diagnostic."""
-    hil = projective_dim_hilbert(generators, field=field, r=r)
-    if hil != dim:
+def _replay_note(generators, seed: int, chunk: int) -> str:
+    """The sample as exchange-format lines, with the seed and chunk that
+    produced it."""
+    lines = "\n".join(poly_to_line(g) for g in generators)
+    return f"seed {seed}, chunk {chunk}, generators:\n{lines}"
+
+
+def _crosscheck_sample(generators, s: int, hit: bool, m_max: int, seed: int, chunk: int):
+    """Independent-detector agreement for one sample: the Hilbert-window
+    dimension must give the same decision dim >= s, and a conclusive
+    positive point count must be matched by it, or the run dies naming the
+    sample."""
+    hil = projective_dim_hilbert(generators)
+    if (hil >= s) != hit:
         raise InvariantError(
-            f"fast dimension path gave {dim} but the rank detector gave {hil}"
+            f"the sample's decision dim >= {s} is {hit} but the Hilbert detector "
+            f"gives dimension {hil}; {_replay_note(generators, seed, chunk)}"
         )
     try:
-        probe = projective_dim_points(generators, field=field, r=r, m_max=m_max)
+        probe = projective_dim_points(generators, m_max=m_max)
     except BudgetError:
         return
     if probe.positive_dimensional and hil < 1:
         raise InvariantError(
-            f"point count {probe.counts} exceeds cutoff {probe.cutoff} "
-            f"but the rank detector reports dimension {hil}"
+            f"point count {probe.counts} exceeds cutoff {probe.cutoff} but the "
+            f"Hilbert detector gives dimension {hil}; "
+            f"{_replay_note(generators, seed, chunk)}"
         )
 
 
@@ -202,16 +223,17 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
         if linear:
             # the k x (r+1) coefficient matrix of a linear tuple cuts out a
             # linear space of projective dimension r - rank
-            sample_dims = r - batch_rank(field, block.reshape(n, k, r + 1))
+            hit = r - batch_rank(field, block.reshape(n, k, r + 1)) >= threshold
         else:
-            sample_dims = np.array(
-                [common_zero_dim(decode_tuple(row), field, r) for row in block]
+            hit = np.array(
+                [dim_at_least(decode_tuple(row), threshold, field, r, seed) for row in block],
+                dtype=bool,
             )
         if crosscheck and threshold == 1:
             for i in range((-first) % check_every, n, check_every):
-                _crosscheck_sample(decode_tuple(block[i]), field, r, int(sample_dims[i]),
-                                   m_max)
-        return int(np.count_nonzero(sample_dims >= threshold))
+                _crosscheck_sample(decode_tuple(block[i]), threshold, bool(hit[i]), m_max,
+                                   seed, first // CHUNK)
+        return int(np.count_nonzero(hit))
 
     def run_chunk(chunk_index: int) -> int:
         lo = chunk_index * CHUNK
@@ -225,6 +247,8 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
             block = rng.integers(0, q, size=(n, total), dtype=np.uint16)
         return handle_block(lo, block)
 
+    if not linear:
+        prepare_sections(field, r, threshold, degrees, seed)
     n_chunks = (trials + CHUNK - 1) // CHUNK
     hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
 
@@ -374,7 +398,12 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
 
         _verify_marked(field, r, ell, marked, seed, verify_samples)
     else:
-        # no squarefree shortcut beyond the plane: per-sample rank detection
+        # no squarefree shortcut beyond the plane: the section test on F and
+        # its partials decides dim Sing(F) >= 1 per sample
+        def singular(F: MultiPoly) -> bool:
+            gens = [F] + [F.partial(i) for i in range(r + 1)]
+            return dim_at_least(gens, 1, field, r, seed)
+
         if mode == "auto":
             mode = "sampled"
         if mode == "exhaustive":
@@ -383,11 +412,9 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
                     f"exhaustive singular run over {q}^{n} forms is over budget"
                 )
             trials = space
-            hits = 0
-            for code in range(space):
-                F = MultiPoly.decode(field, r, ell, code)
-                if singular_membership(F).sing_dim >= 1:
-                    hits += 1
+            hits = sum(
+                1 for code in range(space) if singular(MultiPoly.decode(field, r, ell, code))
+            )
         elif mode == "sampled":
             if trials is None:
                 trials = 2_000
@@ -397,11 +424,9 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
                 m = min(CHUNK, trials - lo)
                 rng = _chunk_rng(seed, chunk_index)
                 rows = rng.integers(0, q, size=(m, n), dtype=np.uint16)
-                return sum(
-                    1 for i in range(m)
-                    if singular_membership(MultiPoly(field, r, ell, rows[i])).sing_dim >= 1
-                )
+                return sum(1 for row in rows if singular(MultiPoly(field, r, ell, row)))
 
+            prepare_sections(field, r, 1, (ell, ell - 1), seed)
             n_chunks = (trials + CHUNK - 1) // CHUNK
             hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
         else:
@@ -438,7 +463,9 @@ def _verify_marked(field: Field, r: int, ell: int, marked: frozenset[bytes],
         got = singular_membership(F).sing_dim >= 1
         if expected != got:
             raise InvariantError(
-                f"repeated-factor set and rank detector disagree on {key!r}"
+                f"repeated-factor set says {expected} but the Hilbert detector says "
+                f"{got} (seed {seed}) on the form\n"
+                f"{poly_to_line(F)}"
             )
 
 
@@ -502,47 +529,12 @@ def poonen_sample(r: int, ell: int, field: Field, seed: int = DEFAULT_SEED) -> P
 def restriction_codim(r: int, d: int, b: int, field: Field | None = None,
                       seed: int = DEFAULT_SEED) -> int:
     """Rank of the restriction map from degree-d forms on projective r-space
-    to a b-plane, computed by explicit linear algebra; a genuine b-plane
-    always gives C(d+b, b)."""
-    from .fields import gf
-    from .polynomials import monomials as mons
-
+    to a seeded b-plane, computed by explicit linear algebra; a genuine
+    b-plane always gives C(d+b, b)."""
     if field is None:
         field = gf(2)
     if not 0 <= b <= r:
         raise ParameterError(f"need 0 <= b <= r, got b={b}, r={r}")
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
-
-    # seeded full-rank parameterization matrix: columns span the plane
-    M = None
-    for attempt in range(64):
-        rng = _chunk_rng(seed, attempt)
-        cand = rng.integers(0, field.q, size=(r + 1, b + 1), dtype=np.uint16)
-        if matrix_rank(field, cand.T) == b + 1:
-            M = cand
-            break
-    if M is None:  # pragma: no cover - virtually impossible
-        raise InvariantError("could not find a full-rank plane parameterization")
-
-    lines = []
-    for i in range(r + 1):
-        coeffs = np.zeros(n_monomials(b, 1), dtype=np.uint16)
-        for j in range(b + 1):
-            coeffs[j] = M[i, j]
-        lines.append(MultiPoly(field, b, 1, coeffs))
-
-    one_poly = MultiPoly(field, b, 0, np.array([field.one], dtype=np.uint16))
-    images: dict[tuple[int, ...], MultiPoly] = {}
-
-    def image(exp: tuple[int, ...]) -> MultiPoly:
-        if sum(exp) == 0:
-            return one_poly
-        if exp not in images:
-            i = max(j for j, e in enumerate(exp) if e > 0)
-            prev = tuple(e - 1 if j == i else e for j, e in enumerate(exp))
-            images[exp] = image(prev) * lines[i]
-        return images[exp]
-
-    rows = np.stack([image(exp).coeffs for exp in mons(r, d)])
-    return matrix_rank(field, rows)
+    return matrix_rank(field, restriction_map(field, r, b, seed, 0, d))

@@ -23,8 +23,10 @@ MAX_POINTS = 300_000
 
 
 @lru_cache(maxsize=None)
-def _points_cached(field_key, r: int):
-    field = _points_cached.fields[field_key]
+def projective_points(field: Field, r: int) -> np.ndarray:
+    """All points of projective r-space over the field, as rows of codes
+    normalized so the first nonzero coordinate is 1.  Cached per field
+    singleton and r; callers must not modify the result."""
     q = field.q
     blocks = []
     for j in range(r + 1):
@@ -36,18 +38,9 @@ def _points_cached(field_key, r: int):
         for c in range(tail):
             block[:, j + 1 + c] = (idx // (q ** (tail - 1 - c))) % q
         blocks.append(block)
-    return np.vstack(blocks)
-
-
-_points_cached.fields = {}
-
-
-def projective_points(field: Field, r: int) -> np.ndarray:
-    """All points of projective r-space over the field, as rows of codes
-    normalized so the first nonzero coordinate is 1."""
-    key = (field.p, field.e)
-    _points_cached.fields[key] = field
-    return _points_cached(key, r)
+    points = np.vstack(blocks)
+    points.flags.writeable = False
+    return points
 
 
 def count_projective_points(q: int, r: int) -> int:

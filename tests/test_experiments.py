@@ -1,10 +1,15 @@
+import json
 import math
+import re
+import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
-from excodim.errors import BudgetError, ParameterError
+from excodim import cli
+from excodim.errors import BudgetError, InvariantError, ParameterError
+from excodim.fforacle import experiments
 from excodim.fforacle.experiments import (
     CHUNK,
     DEFAULT_SEED,
@@ -22,7 +27,7 @@ from excodim.fforacle.experiments import (
 from excodim.fforacle.fields import gf, parse_field
 from excodim.fforacle.hilbert import projective_dim_hilbert
 from excodim.fforacle.points import projective_dim_points
-from excodim.fforacle.polynomials import MultiPoly, n_monomials
+from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line
 
 
 def test_excess_exhaustive_linear_pairs_f2():
@@ -335,3 +340,79 @@ def test_experiment_serialization():
     assert d["hits"] == 22 and d["trials"] == 64
     assert d["kind"] == "excess"
     assert math.isclose(d["est_codim"], res.est_codim)
+
+
+def replayed_sample(message: str):
+    """The seed, chunk and generators an InvariantError message names."""
+    seed, chunk = (int(v) for v in re.search(r"seed (\d+), chunk (\d+)", message).groups())
+    lines = [line for line in message.splitlines() if re.match(r"\d+ \d+ \d+ \d+ :", line)]
+    return seed, chunk, [poly_from_line(line) for line in lines]
+
+
+def test_crosscheck_failure_names_nonlinear_sample(monkeypatch):
+    # a section test that inverts every decision must trip the first check
+    real = experiments.dim_at_least
+    monkeypatch.setattr(experiments, "dim_at_least", lambda *a, **kw: not real(*a, **kw))
+    field, seed = gf(2), 31
+    with pytest.raises(InvariantError) as err:
+        excess_experiment(2, (2, 2), 1, field, mode="sampled", trials=50, seed=seed)
+    got_seed, chunk, gens = replayed_sample(str(err.value))
+    assert (got_seed, chunk) == (seed, 0)
+    row = _chunk_rng(seed, 0).integers(0, 2, size=(50, 12), dtype=np.uint16)[0]
+    assert [g.coeffs.tolist() for g in gens] == [row[:6].tolist(), row[6:].tolist()]
+    assert real(gens, 1, field, 2, seed) == (projective_dim_hilbert(gens) >= 1)
+
+
+def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
+    # linear tuples over two chunks; the Hilbert reference turns wrong from
+    # the first check of chunk 1 on
+    field, r, trials, seed = gf(3), 3, CHUNK + 904, 12
+    every = trials // 48  # the default crosscheck spacing
+    checks_in_chunk0 = -(-CHUNK // every)
+    real = experiments.projective_dim_hilbert
+    calls = []
+
+    def wrong_later(gens, *a, **kw):
+        calls.append(1)
+        dim = real(gens, *a, **kw)
+        return dim if len(calls) <= checks_in_chunk0 else (-1 if dim >= 1 else r)
+
+    monkeypatch.setattr(experiments, "projective_dim_hilbert", wrong_later)
+    with pytest.raises(InvariantError) as err:
+        excess_experiment(r, (1, 1, 1), 1, field, mode="sampled", trials=trials, seed=seed)
+    got_seed, chunk, gens = replayed_sample(str(err.value))
+    assert (got_seed, chunk) == (seed, 1)
+    rows = _chunk_rng(seed, 1).integers(0, 3, size=(trials - CHUNK, 12), dtype=np.uint16)
+    row = rows[checks_in_chunk0 * every - CHUNK]
+    assert [g.coeffs.tolist() for g in gens] == [row[4 * i:4 * i + 4].tolist() for i in range(3)]
+    assert (real(gens) >= 1) == (common_zero_dim(gens, field, r) >= 1)
+
+
+def test_singular_space_sampled_is_independent_of_workers(monkeypatch):
+    # small chunks and frequent thread switches, so several workers read the
+    # section caches over many chunks at once
+    monkeypatch.setattr(experiments, "CHUNK", 16)
+    one = singular_experiment(3, 3, gf(2), mode="sampled", trials=100, seed=3, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 4):
+            many = singular_experiment(3, 3, gf(2), mode="sampled", trials=100, seed=3,
+                                       workers=workers)
+            assert one.key() == many.key()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("r, ell", [(3, 4), (4, 3)])
+def test_singular_beyond_the_plane_fits_the_budget(r, ell):
+    res = singular_experiment(r, ell, gf(2), mode="sampled", trials=20, seed=4)
+    assert res.trials == 20 and 0 <= res.hits <= 20
+
+
+def test_cli_singular_r3_ell4_exits_0(capsys):
+    code = cli.run(["oracle", "singular", "--r", "3", "--ell", "4", "--trials", "20",
+                    "--format", "json"])
+    assert code == 0
+    values = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+    assert values["trials"] == 20

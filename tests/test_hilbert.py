@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from excodim.combinatorics import binomial
 from excodim.errors import BudgetError, ParameterError
 from excodim.fforacle.fields import gf
 from excodim.fforacle.hilbert import (
     GradedIdealPiece,
+    dim_at_least,
     hilbert_function,
     projective_dim_hilbert,
+    section_field,
 )
 from excodim.fforacle.polynomials import MultiPoly, n_monomials
 
@@ -125,3 +128,130 @@ def test_complete_intersection_dimension_is_generic():
         if projective_dim_hilbert(gens) == 1:
             good += 1
     assert good >= total * 0.8
+
+
+def singular_generators(F):
+    return [F] + [F.partial(i) for i in range(F.r + 1)]
+
+
+@st.composite
+def section_cases(draw, field, r):
+    """Generators, s and a plane seed.  Planted positives: a common linear
+    factor, and F in (X_0, X_1)^2 with its partials (singular along
+    X_0 = X_1 = 0).  Edge cases: fewer than r - s + 1 live forms, all-zero
+    forms.  The Hilbert reference costs up to seconds per sample at r = 3
+    over GF(3) and GF(4), so the inputs there have at most one quadric and
+    no cubics."""
+    cheap = r == 2 or field.q == 2
+    s = draw(st.sampled_from([0, 1, 2]))
+    kinds = ["random", "common_factor", "few_live", "zero"]
+    kind = draw(st.sampled_from(kinds + ["singular", "planted_singular"] if cheap else kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def form(d):
+        return MultiPoly.random(field, r, d, rng)
+
+    # at least r - s + 1 forms where the cost allows, so the section is taken
+    if kind == "random":
+        degrees = [draw(st.integers(1, 2)) for _ in range(draw(st.integers(r - s + 1, r + 2)))]
+        if not cheap:
+            degrees = sorted(degrees, reverse=True)[:1] + [1] * (len(degrees) - 1)
+        gens = [form(d) for d in degrees]
+    elif kind == "common_factor":
+        most = 3 if cheap else 2
+        line = form(1)
+        gens = [line * form(1) for _ in range(draw(st.integers(min(r - s + 1, most), most)))]
+    elif kind == "singular":
+        gens = singular_generators(form(3))
+    elif kind == "planted_singular":
+        x0, x1 = MultiPoly.variable(field, r, 0), MultiPoly.variable(field, r, 1)
+        F = x0 * x0 * form(1) + x0 * x1 * form(1) + x1 * x1 * form(1)
+        gens = singular_generators(F)
+    elif kind == "few_live":
+        live = [form(2) for _ in range(draw(st.integers(0, r - s)))]
+        gens = live + [MultiPoly.zero(field, r, 2)] * draw(st.integers(1, 3))
+    else:
+        gens = [MultiPoly.zero(field, r, d) for d in (1, 2)]
+    return gens, s, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("spec, r, examples", [
+    ((2, 1), 2, 40), ((3, 1), 2, 40), ((2, 2), 2, 40),
+    ((2, 1), 3, 30), ((3, 1), 3, 25), ((2, 2), 3, 15),
+])
+def test_section_test_matches_hilbert_dimension(spec, r, examples):
+    field = gf(*spec)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(section_cases(field, r))
+    def check(case):
+        gens, s, seed = case
+        assert dim_at_least(gens, s, seed=seed) == (projective_dim_hilbert(gens) >= s)
+
+    check()
+
+
+def test_section_test_certified_cases():
+    f = gf(3)
+    x = [MultiPoly.variable(f, 3, i) for i in range(4)]
+    zero = MultiPoly.zero(f, 3, 2)
+    # two live forms cut out at least a line in P^3, whatever they are
+    assert dim_at_least([x[0] * x[1], zero, x[2] * x[2], zero], 1)
+    assert not dim_at_least([x[0] * x[1], x[2] * x[2]], 2)
+    # all-zero forms cut out P^r itself
+    assert dim_at_least([zero, zero], 3)
+    assert not dim_at_least([zero, zero], 4)
+    assert dim_at_least([], 3, field=f, r=3)
+    # s = 0 asks whether the locus is nonempty in P^r
+    assert not dim_at_least(x, 0)
+    assert dim_at_least(x[:3], 0)
+    assert dim_at_least([x[0] + x[1], x[1] + x[2], x[2] + x[3], x[3] + x[0]], 0)
+    with pytest.raises(ParameterError):
+        dim_at_least(x, -1)
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2)])
+def test_section_test_sees_planted_loci_in_space(spec):
+    # loci of known dimension in P^3, so no Hilbert reference is needed
+    f = gf(*spec)
+    x = [MultiPoly.variable(f, 3, i) for i in range(4)]
+    minus_one = int(f.NEG[f.one])
+
+    def minor(a, b, c, d):
+        return a * b + (c * d).scale(minus_one)
+
+    # twisted cubic: 2x2 minors of [[X0, X1, X2], [X1, X2, X3]], a curve
+    cubic = [minor(x[0], x[2], x[1], x[1]), minor(x[0], x[3], x[1], x[2]),
+             minor(x[1], x[3], x[2], x[2])]
+    rng = np.random.default_rng(spec)
+    line = MultiPoly.random(f, 3, 1, rng)
+    while line.is_zero:
+        line = MultiPoly.random(f, 3, 1, rng)
+    # three forms through one plane
+    factor = [line * MultiPoly.random(f, 3, 1, rng) for _ in range(3)]
+    # a cubic in (X0, X1)^2 is singular along X0 = X1 = 0
+    F = sum((m * MultiPoly.random(f, 3, 1, rng)
+             for m in (x[0] * x[0], x[0] * x[1], x[1] * x[1])),
+            MultiPoly.zero(f, 3, 3))
+    for seed in range(3):
+        assert dim_at_least(cubic, 1, seed=seed)
+        assert not dim_at_least(cubic, 2, seed=seed)
+        assert dim_at_least(factor, 2, seed=seed)
+        assert dim_at_least(singular_generators(F), 1, seed=seed)
+
+
+@pytest.mark.parametrize("spec, size", [
+    ((2, 1), 64), ((2, 2), 64), ((2, 3), 64), ((3, 1), 81), ((3, 2), 81),
+    ((5, 1), 125), ((7, 1), 343),
+])
+def test_section_field_is_smallest_proper_extension_with_64_elements(spec, size):
+    base = gf(*spec)
+    ext, emb = section_field(base)
+    assert ext.q == size and ext.p == base.p
+    # the embedding is a ring homomorphism
+    codes = np.arange(base.q)
+    assert np.array_equal(emb[base.MUL[codes[:, None], codes[None, :]]],
+                          ext.MUL[emb[codes][:, None], emb[codes][None, :]])
+    assert np.array_equal(emb[base.ADD[codes[:, None], codes[None, :]]],
+                          ext.ADD[emb[codes][:, None], emb[codes][None, :]])
