@@ -4,7 +4,14 @@ projective point counts, and the codimension experiments built on them."""
 
 from .fields import Field, gf
 from .polynomials import MultiPoly, monomials, n_monomials, poly_from_line, poly_to_line
-from .hilbert import GradedIdealPiece, dim_at_least, hilbert_function, projective_dim_hilbert
+from .hilbert import (
+    GradedIdealPiece,
+    batch_dim_at_least,
+    batch_projective_dim_hilbert,
+    dim_at_least,
+    hilbert_function,
+    projective_dim_hilbert,
+)
 from .points import PointProbe, projective_dim_points, projective_points
 from .experiments import (
     DEFAULT_SEED,
@@ -26,6 +33,8 @@ __all__ = [
     "poly_from_line",
     "poly_to_line",
     "GradedIdealPiece",
+    "batch_dim_at_least",
+    "batch_projective_dim_hilbert",
     "dim_at_least",
     "hilbert_function",
     "projective_dim_hilbert",

@@ -9,16 +9,21 @@ the seed and configuration, never on the worker count.
 The excess experiment works one chunk at a time: a chunk's tuples form one
 (n, coefficients) block, decoded from the tuple indices in exhaustive mode or
 drawn from the chunk's stream in sampled mode.  Linear tuples are ranked as
-one (n, k, r + 1) stack by ``batch_rank``; every other sample, nonlinear
+one (n, k, r + 1) stack by ``batch_rank``.  Every other sample, nonlinear
 tuples and the forms F, dF/dX_0, ..., dF/dX_r of the singular experiment
-beyond the plane, is decided by the linear-section test ``dim_at_least``.
-Its section field and planes are built before the chunks fan out.
+beyond the plane, is decided by the linear-section test, one
+``batch_dim_at_least`` call per chunk.  Its section field and planes are
+built before the chunks fan out.
 
 In an excess run with r - k + a = 1, about ``crosscheck`` evenly spaced
 samples are also checked against two independent detectors: the
 Hilbert-window dimension must give the same decision, and a conclusive point
-count must be matched by a positive Hilbert dimension.  A failed check raises ``InvariantError`` naming the sample
-as ``poly_to_line`` lines with its seed and chunk, so it can be replayed.
+count must be matched by a positive Hilbert dimension.  The chunks return
+their checked samples, and one ``batch_projective_dim_hilbert`` call after
+the fan-out gives all their dimensions; the samples are then compared in
+sample order.  A failed check raises ``InvariantError`` naming the first
+failing sample as ``poly_to_line`` lines with its seed and chunk, so it can
+be replayed, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from ..applications import singular_line_codim
 from ..errors import BudgetError, InvariantError, ParameterError
 from ..strata import span_stratum_exact
 from .fields import Field, gf
-from .hilbert import dim_at_least, prepare_sections, projective_dim_hilbert, restriction_map
+from .hilbert import (
+    batch_dim_at_least,
+    batch_projective_dim_hilbert,
+    prepare_sections,
+    projective_dim_hilbert,
+    restriction_map,
+)
 from .linalg import batch_rank, matrix_rank
 from .points import projective_dim_points
 from .polynomials import MultiPoly, monomial_index, monomials, n_monomials, poly_to_line
@@ -141,12 +152,12 @@ def _replay_note(generators, seed: int, chunk: int) -> str:
     return f"seed {seed}, chunk {chunk}, generators:\n{lines}"
 
 
-def _crosscheck_sample(generators, s: int, hit: bool, m_max: int, seed: int, chunk: int):
-    """Independent-detector agreement for one sample: the Hilbert-window
-    dimension must give the same decision dim >= s, and a conclusive
+def _crosscheck_sample(generators, s: int, hit: bool, hil: int, m_max: int, seed: int,
+                       chunk: int):
+    """Independent-detector agreement for one sample: its Hilbert-window
+    dimension hil must give the same decision dim >= s, and a conclusive
     positive point count must be matched by it, or the run dies naming the
     sample."""
-    hil = projective_dim_hilbert(generators)
     if (hil >= s) != hit:
         raise InvariantError(
             f"the sample's decision dim >= {s} is {hit} but the Hilbert detector "
@@ -217,25 +228,25 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
 
     check_every = max(1, trials // max(crosscheck, 1)) if crosscheck else 0
 
-    def handle_block(first: int, block: np.ndarray) -> int:
-        """Hits among the tuples block[i], whose sample index is first + i."""
+    def handle_block(first: int, block: np.ndarray) -> tuple[int, list]:
+        """Hits among the tuples block[i], whose sample index is first + i,
+        and the (generators, decision, chunk) of its samples due a
+        crosscheck."""
         n = len(block)
         if linear:
             # the k x (r+1) coefficient matrix of a linear tuple cuts out a
             # linear space of projective dimension r - rank
             hit = r - batch_rank(field, block.reshape(n, k, r + 1)) >= threshold
         else:
-            hit = np.array(
-                [dim_at_least(decode_tuple(row), threshold, field, r, seed) for row in block],
-                dtype=bool,
-            )
+            hit = batch_dim_at_least([decode_tuple(row) for row in block], threshold, field,
+                                     r, seed)
+        checked = []
         if crosscheck and threshold == 1:
-            for i in range((-first) % check_every, n, check_every):
-                _crosscheck_sample(decode_tuple(block[i]), threshold, bool(hit[i]), m_max,
-                                   seed, first // CHUNK)
-        return int(np.count_nonzero(hit))
+            checked = [(decode_tuple(block[i]), bool(hit[i]), first // CHUNK)
+                       for i in range((-first) % check_every, n, check_every)]
+        return int(np.count_nonzero(hit)), checked
 
-    def run_chunk(chunk_index: int) -> int:
+    def run_chunk(chunk_index: int) -> tuple[int, list]:
         lo = chunk_index * CHUNK
         n = min(CHUNK, trials - lo)
         if mode == "exhaustive":
@@ -250,7 +261,14 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     if not linear:
         prepare_sections(field, r, threshold, degrees, seed)
     n_chunks = (trials + CHUNK - 1) // CHUNK
-    hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
+    blocks = _run_chunks(run_chunk, range(n_chunks), workers)
+    hits = sum(block_hits for block_hits, _ in blocks)
+    checked = [sample for _, block_checked in blocks for sample in block_checked]
+    # one batched reference over every checked sample, compared in sample
+    # order, so the first disagreeing sample is the one named
+    dims = batch_projective_dim_hilbert([gens for gens, _, _ in checked], field, r)
+    for (gens, hit, chunk), hil in zip(checked, dims):
+        _crosscheck_sample(gens, threshold, hit, hil, m_max, seed, chunk)
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(
@@ -266,6 +284,11 @@ class SingularMembership:
     sing_dim: int
 
 
+def _singular_generators(F: MultiPoly) -> list[MultiPoly]:
+    """F and its formal partial derivatives, which cut out Sing(F)."""
+    return [F] + [F.partial(i) for i in range(F.r + 1)]
+
+
 def singular_membership(F: MultiPoly, crosscheck: bool = False,
                         m_max: int = 2) -> SingularMembership:
     """Projective dimension of the scheme cut out by F and its formal
@@ -273,8 +296,7 @@ def singular_membership(F: MultiPoly, crosscheck: bool = False,
     if F.d < 2:
         raise ParameterError(f"need deg F >= 2, got {F.d}")
     field, r = F.field, F.r
-    gens = [F] + [F.partial(i) for i in range(r + 1)]
-    gens = [g for g in gens if not g.is_zero]
+    gens = [g for g in _singular_generators(F) if not g.is_zero]
     dim = r if not gens else projective_dim_hilbert(gens, field=field, r=r)
     if crosscheck and gens:
         try:
@@ -399,38 +421,28 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
         _verify_marked(field, r, ell, marked, seed, verify_samples)
     else:
         # no squarefree shortcut beyond the plane: the section test on F and
-        # its partials decides dim Sing(F) >= 1 per sample
-        def singular(F: MultiPoly) -> bool:
-            gens = [F] + [F.partial(i) for i in range(r + 1)]
-            return dim_at_least(gens, 1, field, r, seed)
-
-        if mode == "auto":
-            mode = "sampled"
+        # its partials decides dim Sing(F) >= 1, one chunk per call
         if mode == "exhaustive":
-            if space > SLOW_EXHAUSTIVE_LIMIT:
-                raise BudgetError(
-                    f"exhaustive singular run over {q}^{n} forms is over budget"
-                )
-            trials = space
-            hits = sum(
-                1 for code in range(space) if singular(MultiPoly.decode(field, r, ell, code))
-            )
-        elif mode == "sampled":
-            if trials is None:
-                trials = 2_000
-
-            def run_chunk(chunk_index: int) -> int:
-                lo = chunk_index * CHUNK
-                m = min(CHUNK, trials - lo)
-                rng = _chunk_rng(seed, chunk_index)
-                rows = rng.integers(0, q, size=(m, n), dtype=np.uint16)
-                return sum(1 for row in rows if singular(MultiPoly(field, r, ell, row)))
-
-            prepare_sections(field, r, 1, (ell, ell - 1), seed)
-            n_chunks = (trials + CHUNK - 1) // CHUNK
-            hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
-        else:
+            # characteristic 2 with r >= 3 and ell >= 3 gives at least 2^20
+            # forms, always above SLOW_EXHAUSTIVE_LIMIT
+            raise BudgetError(f"exhaustive singular run over {q}^{n} forms is over budget")
+        if mode not in ("auto", "sampled"):
             raise ParameterError(f"unknown mode {mode!r}")
+        mode = "sampled"
+        if trials is None:
+            trials = 2_000
+
+        def run_chunk(chunk_index: int) -> int:
+            lo = chunk_index * CHUNK
+            m = min(CHUNK, trials - lo)
+            rng = _chunk_rng(seed, chunk_index)
+            rows = rng.integers(0, q, size=(m, n), dtype=np.uint16)
+            samples = [_singular_generators(MultiPoly(field, r, ell, row)) for row in rows]
+            return int(np.count_nonzero(batch_dim_at_least(samples, 1, field, r, seed)))
+
+        prepare_sections(field, r, 1, (ell, ell - 1), seed)
+        n_chunks = (trials + CHUNK - 1) // CHUNK
+        hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(

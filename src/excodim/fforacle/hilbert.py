@@ -3,7 +3,11 @@ dimension detectors built on them.
 
 The degree-t piece of the ideal generated by forms g_i is spanned by the
 products m * g_i over monomials m of degree t - deg(g_i); its rank gives
-h(t) = C(t+r, r) - rank for the quotient.
+h(t) = C(t+r, r) - rank for the quotient.  Its matrix, the Macaulay matrix, is
+filled by one scatter per generator through ``scatter_index``, a read-only
+index cached per (r, deg g_i, t), and a whole batch of tuples whose
+generators have the same degrees is filled as one (B, rows, cols) stack by
+``macaulay_stack`` and ranked by ``batch_rank``.
 
 ``dim_at_least`` answers the question every experiment asks of a sample,
 "is dim V(g) >= s?", by a linear section.  With b = r - s it restricts the
@@ -29,6 +33,14 @@ polynomial from finite differences and widens the window until that degree
 is stable.  The window start is a heuristic, not a regularity bound, and the
 matrices are large; it serves as the independent reference that the
 experiments cross-check the section test against, not as a per-sample test.
+
+Both tests take whole lists of samples through ``batch_dim_at_least`` and
+``batch_projective_dim_hilbert``; the single-sample functions are the same
+code on a list of one.  Samples are grouped by the degrees of their live
+generators, and each group advances through its planes or its window degrees
+in lockstep, one Macaulay stack per step, split so that no stack holds more
+than MAX_MATRIX_ENTRIES entries.  A sample leaves its group once it is
+decided.
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ import numpy as np
 
 from ..errors import BudgetError, InvariantError, ParameterError
 from .fields import Field
-from .linalg import matrix_rank
+from .linalg import batch_rank, matrix_rank
 from .polynomials import MultiPoly, monomial_index, monomials, n_monomials
 
 MAX_MATRIX_ENTRIES = 4_000_000
@@ -70,6 +82,70 @@ def _ring_of(generators, field, r):
     return field, r
 
 
+def _check_budget(t: int, nrows: int, ncols: int, max_entries: int):
+    if nrows * ncols > max_entries:
+        raise BudgetError(
+            f"degree-{t} piece needs a {nrows}x{ncols} matrix, over the budget"
+        )
+
+
+@lru_cache(maxsize=256)
+def scatter_index(r: int, d: int, t: int) -> np.ndarray:
+    """Entry (i, j) is the column of m_i * e_j among the degree-t monomials,
+    for the i-th degree-(t - d) monomial m_i and the j-th degree-d monomial
+    e_j.  Read-only, because it is a shared cache entry."""
+    index = monomial_index(r, t)
+    cols = np.array(
+        [[index[tuple(a + b for a, b in zip(m, e))] for e in monomials(r, d)]
+         for m in monomials(r, t - d)],
+        dtype=np.intp,
+    )
+    cols.flags.writeable = False
+    return cols
+
+
+def macaulay_stack(nbatch: int, r: int, t: int, degrees, coeffs) -> np.ndarray:
+    """The (nbatch, rows, cols) degree-t Macaulay matrices of a batch of
+    generator tuples; coeffs[j] is the (nbatch, n_monomials(r, degrees[j]))
+    coefficient stack of the j-th generator.
+
+    The rows of each matrix are the products m * g_j over the
+    degree-(t - d_j) monomials m, generator by generator (a generator of
+    degree above t gives none), and the columns are the degree-t monomials.
+    Multiplying by a monomial leaves the coefficients alone, so each
+    generator's block is one scatter through ``scatter_index``.
+    """
+    parts = [(scatter_index(r, d, t), c) for d, c in zip(degrees, coeffs) if d <= t]
+    nrows = sum(cols.shape[0] for cols, _ in parts)
+    out = np.zeros((nbatch, nrows, n_monomials(r, t)), dtype=np.uint16)
+    row = 0
+    for cols, c in parts:
+        rows = np.arange(row, row + cols.shape[0])[:, None]
+        out[:, rows, cols] = c[:, None, :]
+        row += cols.shape[0]
+    return out
+
+
+def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs,
+                 max_entries: int = MAX_MATRIX_ENTRIES) -> np.ndarray:
+    """Ranks of the degree-t ideal pieces of a nonempty batch of generator
+    tuples (coefficient stacks as in ``macaulay_stack``), ranked in stacks of
+    at most max_entries entries.  As in ``GradedIdealPiece``, the budget of
+    one piece counts the rows of its nonzero generators only; the first
+    piece over it raises BudgetError."""
+    ncols = n_monomials(r, t)
+    shifts = [n_monomials(r, t - d) for d in degrees]  # t >= every degree here
+    live_rows = sum(n * c.any(axis=1) for n, c in zip(shifts, coeffs))
+    over = np.flatnonzero(live_rows * ncols > max_entries)
+    if over.size:
+        _check_budget(t, int(live_rows[over[0]]), ncols, max_entries)
+    per = max(1, max_entries // max(sum(shifts) * ncols, 1))
+    parts = ([c[lo:lo + per] for c in coeffs] for lo in range(0, len(coeffs[0]), per))
+    return np.concatenate([
+        batch_rank(field, macaulay_stack(len(part[0]), r, t, degrees, part)) for part in parts
+    ])
+
+
 class GradedIdealPiece:
     """The degree-t graded piece of the ideal spanned by the generators."""
 
@@ -82,29 +158,11 @@ class GradedIdealPiece:
         nrows = sum(
             n_monomials(self.r, t - g.d) for g in self.generators if g.d <= t
         )
-        if nrows * ncols > max_entries:
-            raise BudgetError(
-                f"degree-{t} piece needs a {nrows}x{ncols} matrix, over the budget"
-            )
+        _check_budget(t, nrows, ncols, max_entries)
         self.ncols = ncols
-        self.matrix = self._build(nrows, ncols)
+        self.matrix = macaulay_stack(1, self.r, t, [g.d for g in self.generators],
+                                     [g.coeffs[None] for g in self.generators])[0]
         self._rank: int | None = None
-
-    def _build(self, nrows: int, ncols: int) -> np.ndarray:
-        index = monomial_index(self.r, self.t)
-        matrix = np.zeros((nrows, ncols), dtype=np.uint16)
-        row = 0
-        for g in self.generators:
-            if g.d > self.t:
-                continue
-            support = list(g.support())
-            for m in monomials(self.r, self.t - g.d):
-                for exp, code in support:
-                    col = index[tuple(a + b for a, b in zip(m, exp))]
-                    # multiplying by a monomial leaves the coefficient alone
-                    matrix[row, col] = code
-                row += 1
-        return matrix
 
     def rank(self) -> int:
         if self._rank is None:
@@ -121,6 +179,26 @@ def hilbert_function(generators, t: int, field: Field | None = None, r: int | No
     return n_monomials(piece.r, t) - piece.rank()
 
 
+def _ring_of_samples(samples, field, r):
+    rings = {_ring_of(sample, field, r) for sample in samples}
+    if len(rings) > 1:
+        raise ParameterError("samples live over different rings")
+    return rings.pop()
+
+
+def _signature_groups(samples):
+    """The samples grouped by the degrees of their live generators, in
+    order.  Yields (degrees, sample indices, coefficient stacks), with one
+    (n, n_monomials(r, d)) stack per generator position."""
+    lives = [_live_generators(sample) for sample in samples]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, live in enumerate(lives):
+        groups.setdefault(tuple(g.d for g in live), []).append(i)
+    for degrees, members in groups.items():
+        coeffs = [np.stack([lives[i][j].coeffs for i in members]) for j in range(len(degrees))]
+        yield degrees, np.array(members), coeffs
+
+
 def _tail_degree(values) -> int | None:
     """Degree of the polynomial interpolating the window, or None when the
     differences do not vanish within the window (not yet polynomial)."""
@@ -135,6 +213,76 @@ def _tail_degree(values) -> int | None:
         level += 1
 
 
+def _stable_dim(values: list[int], estimates: list, r: int) -> int | None:
+    """Record the estimate of the newest window of h values; the dimension
+    once the last r + 2 estimates agree, else None."""
+    window = r + 2
+    if len(values) < window:
+        return None
+    est = _tail_degree(values[-window:])
+    if est is not None and est > r:
+        est = None  # projective dimension cannot exceed r: keep widening
+    estimates.append(est)
+    tail = estimates[-window:]
+    if len(tail) == window and tail[0] is not None and all(e == tail[0] for e in tail):
+        return tail[0]
+    return None
+
+
+def batch_projective_dim_hilbert(samples, field: Field | None = None, r: int | None = None,
+                                 max_steps: int = MAX_WINDOW_STEPS,
+                                 max_entries: int = MAX_MATRIX_ENTRIES) -> list[int]:
+    """``projective_dim_hilbert`` of every sample, a list of generators each.
+
+    Samples whose live generators have the same degrees share every window
+    degree, so each such group advances its windows in lockstep, with one
+    stack of Macaulay matrices per degree t; a sample leaves its group once
+    its estimate is stable.  If samples exceed a budget, the BudgetError of
+    the first of them is raised.
+    """
+    samples = [list(sample) for sample in samples]
+    if not samples:
+        return []
+    field, r = _ring_of_samples(samples, field, r)
+    dims = [r] * len(samples)  # no live generator: the whole space
+    errors: dict[int, BudgetError] = {}
+    for degrees, members, coeffs in _signature_groups(samples):
+        if not degrees:
+            continue
+        t0 = sum(d - 1 for d in degrees) + 1
+        values: list[list[int]] = [[] for _ in members]
+        estimates: list[list] = [[] for _ in members]
+        active = np.arange(len(members))
+        for step in range(max_steps):
+            t = t0 + step
+            try:
+                ranks = _piece_ranks(field, r, t, degrees, [c[active] for c in coeffs],
+                                     max_entries)
+            except BudgetError as err:
+                errors.update((int(members[a]), err) for a in active)
+                break
+            still = []
+            for a, rank in zip(active, ranks):
+                values[a].append(n_monomials(r, t) - int(rank))
+                dim = _stable_dim(values[a], estimates[a], r)
+                if dim is None:
+                    still.append(a)
+                else:
+                    dims[members[a]] = dim
+            active = np.array(still, dtype=np.intp)
+            if not still:
+                break
+        else:
+            err = BudgetError(
+                f"Hilbert dimension did not stabilize within {max_steps} steps "
+                f"(generators of degrees {list(degrees)})"
+            )
+            errors.update((int(members[a]), err) for a in active)
+    if errors:
+        raise errors[min(errors)]
+    return dims
+
+
 def projective_dim_hilbert(generators, field: Field | None = None, r: int | None = None,
                            max_steps: int = MAX_WINDOW_STEPS,
                            max_entries: int = MAX_MATRIX_ENTRIES) -> int:
@@ -144,34 +292,7 @@ def projective_dim_hilbert(generators, field: Field | None = None, r: int | None
     t0 = sum(deg g_i - 1) + 1 and widens until the inferred Hilbert
     polynomial degree agrees across r + 2 consecutive window ends.
     """
-    field, r = _ring_of(generators, field, r)
-    gens = _live_generators(generators)
-    if not gens:
-        return r
-    t0 = sum(g.d - 1 for g in gens) + 1
-    window = r + 2
-
-    values: list[int] = []
-    estimates: list[int | None] = []
-    for step in range(max_steps):
-        t = t0 + step
-        values.append(hilbert_function(gens, t, max_entries=max_entries))
-        if len(values) >= window:
-            est = _tail_degree(values[-window:])
-            if est is not None and est > r:
-                est = None  # projective dimension cannot exceed r: keep widening
-            estimates.append(est)
-            tail = estimates[-window:]
-            if (
-                len(tail) == window
-                and tail[0] is not None
-                and all(e == tail[0] for e in tail)
-            ):
-                return tail[0]
-    raise BudgetError(
-        f"Hilbert dimension did not stabilize within {max_steps} steps "
-        f"(generators of degrees {[g.d for g in gens]})"
-    )
+    return batch_projective_dim_hilbert([generators], field, r, max_steps, max_entries)[0]
 
 
 def section_field(field: Field) -> tuple[Field, np.ndarray]:
@@ -235,6 +356,52 @@ def prepare_sections(field: Field, r: int, s: int, degrees, seed: int = 0):
             restriction_map(ext, r, r - s, seed, k, d)
 
 
+def _restrict(field: Field, coeffs: np.ndarray, rmap: np.ndarray) -> np.ndarray:
+    """Coefficient rows times a restriction map, in table arithmetic."""
+    prods = field.MUL[coeffs[:, :, None], rmap[None, :, :]]
+    restricted = prods[:, 0]
+    for j in range(1, prods.shape[1]):
+        restricted = field.ADD[restricted, prods[:, j]]
+    return restricted
+
+
+def batch_dim_at_least(samples, s: int, field: Field | None = None, r: int | None = None,
+                       seed: int = 0) -> np.ndarray:
+    """``dim_at_least`` of every sample, a list of generators each, as a
+    bool array.
+
+    Samples whose live generators have the same degrees share t and the
+    planes, so each such group is restricted and ranked as one stack per
+    plane; a sample leaves its group at its first empty section.
+    """
+    if s < 0:
+        raise ParameterError(f"need s >= 0, got {s}")
+    samples = [list(sample) for sample in samples]
+    hit = np.ones(len(samples), dtype=bool)
+    if not samples:
+        return hit
+    field, r = _ring_of_samples(samples, field, r)
+    if s > r:
+        return ~hit
+    b = r - s
+    for degrees, members, coeffs in _signature_groups(samples):
+        if len(degrees) <= b:
+            continue  # fewer than b + 1 live forms: certified in
+        t = sum(sorted((d - 1 for d in degrees), reverse=True)[: b + 1]) + 1
+        ext, emb = section_field(field)
+        coeffs = [emb[c] for c in coeffs]
+        for k in range(SECTION_TRIES):
+            section = [_restrict(ext, c, restriction_map(ext, r, b, seed, k, d))
+                       for d, c in zip(degrees, coeffs)]
+            empty = _piece_ranks(ext, b, t, degrees, section) == n_monomials(b, t)
+            hit[members[empty]] = False
+            members = members[~empty]
+            if not members.size:
+                break
+            coeffs = [c[~empty] for c in coeffs]
+    return hit
+
+
 def dim_at_least(generators, s: int, field: Field | None = None, r: int | None = None,
                  seed: int = 0) -> bool:
     """Whether the common vanishing locus has projective dimension >= s.
@@ -244,30 +411,4 @@ def dim_at_least(generators, s: int, field: Field | None = None, r: int | None =
     otherwise (see the module docstring).  The planes depend only on the
     field, r, s and the seed.
     """
-    field, r = _ring_of(generators, field, r)
-    if s < 0:
-        raise ParameterError(f"need s >= 0, got {s}")
-    if s > r:
-        return False
-    gens = _live_generators(generators)
-    b = r - s
-    if len(gens) <= b:
-        return True
-    t = sum(sorted((g.d - 1 for g in gens), reverse=True)[: b + 1]) + 1
-    ext, emb = section_field(field)
-    by_degree: dict[int, list[np.ndarray]] = {}
-    for g in gens:
-        by_degree.setdefault(g.d, []).append(emb[g.coeffs])
-    for k in range(SECTION_TRIES):
-        section = []
-        for d, rows in by_degree.items():
-            # coefficient rows times the restriction map, in table arithmetic
-            prods = ext.MUL[np.stack(rows)[:, :, None],
-                            restriction_map(ext, r, b, seed, k, d)[None, :, :]]
-            restricted = prods[:, 0]
-            for j in range(1, prods.shape[1]):
-                restricted = ext.ADD[restricted, prods[:, j]]
-            section.extend(MultiPoly(ext, b, d, row) for row in restricted)
-        if hilbert_function(section, t, field=ext, r=b) == 0:
-            return False
-    return True
+    return bool(batch_dim_at_least([generators], s, field, r, seed)[0])

@@ -1,12 +1,14 @@
 """Rank computation over the table fields.
 
-``batch_rank`` ranks a whole (B, m, n) stack of small matrices with one
-elimination vectorised over the batch axis, using only the field's
-ADD/MUL/NEG/INV tables, so it serves every GF(p^e).  ``matrix_rank`` ranks
-one matrix: bitset elimination over GF(2) and vectorised modular
-elimination over odd prime fields (both faster on single large matrices),
-and ``batch_rank`` on a stack of one for extension fields.  Inputs are
-matrices of field codes.
+``batch_rank`` ranks a whole (B, m, n) stack of matrices of field codes.
+Over GF(2) each matrix goes through a bitset elimination on Python integers.
+Every other field takes one sparse elimination vectorised over the batch
+axis: at each column it updates only the rows that are nonzero there in some
+matrix of the stack, and in them only the columns where some pivot row is
+nonzero, which keeps the sparse Macaulay matrices of ``hilbert`` cheap.
+Prime-field codes are residues, so their rows are updated mod p; extension
+fields use the ADD/MUL tables.  ``matrix_rank`` is ``batch_rank`` on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -31,78 +33,63 @@ def _rank_gf2_bitrows(rows: list[int]) -> int:
     return rank
 
 
-def rows_to_bitrows(matrix: np.ndarray) -> list[int]:
-    out = []
-    for row in matrix:
-        val = 0
-        for j in np.flatnonzero(row):
-            val |= 1 << int(j)
-        out.append(val)
-    return out
+def _rank_gf2(mats: np.ndarray) -> np.ndarray:
+    """Ranks over GF(2), each matrix row as the integer whose bit j is
+    entry j."""
+    nbatch, nrows, _ = mats.shape
+    packed = np.packbits(mats != 0, axis=2, bitorder="little")
+    width = packed.shape[2]
+    buf = packed.tobytes()
+    rows = [int.from_bytes(buf[i:i + width], "little") for i in range(0, len(buf), width)]
+    return np.array([_rank_gf2_bitrows(rows[b * nrows:(b + 1) * nrows]) for b in range(nbatch)],
+                    dtype=np.int64)
 
 
-def _rank_prime(matrix: np.ndarray, p: int) -> int:
-    m = matrix.astype(np.int64) % p
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        if rank >= nrows:
-            break
-        sub = m[rank:, col]
-        nz = np.flatnonzero(sub)
-        if nz.size == 0:
-            continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        rest = np.flatnonzero(m[:, col])
-        rest = rest[rest != rank]
-        if rest.size:
-            m[rest] = (m[rest] - np.outer(m[rest, col], m[rank])) % p
-        rank += 1
-    return rank
-
-
-def batch_rank(field: Field, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, m, n) stack of matrices of field codes.
+def _rank_sparse(field: Field, m: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, m, n) stack, eliminating in place.
 
     Elimination runs column by column over the whole batch at once, with no
     row swaps.  Each matrix's pivot is its first row with a nonzero entry in
     the column; that column is cleared from every row, the pivot row
     included, which zeroes the pivot row so it is never picked again.  Rows
-    are then zero in every column already processed, so only the columns
-    from the current one on are updated.  All arithmetic goes through the
-    field's ADD/MUL/NEG/INV tables, so every field takes this one path.
+    are then zero in every column already processed.  A row that is zero in
+    the column in every matrix is left alone, and so is a column that is
+    zero in every pivot row.
     """
-    m = np.array(mats, dtype=np.uint16)
     nbatch, _, ncols = m.shape
     ranks = np.zeros(nbatch, dtype=np.int64)
     batch = np.arange(nbatch)
     for col in range(ncols):
         nonzero = m[:, :, col] != 0
-        has_pivot = nonzero.any(axis=1)
-        if not has_pivot.any():
+        rows = np.flatnonzero(nonzero.any(axis=0))
+        if rows.size == 0:
             continue
-        pivot_row = m[batch, nonzero.argmax(axis=1), col:]
+        has_pivot = nonzero.any(axis=1)
+        pivot_row = m[batch, nonzero.argmax(axis=1)]
+        cols = np.flatnonzero(pivot_row[has_pivot].any(axis=0))
         # row i gets -m[i, col] / pivot times the pivot row; matrices with
         # no pivot have a zero column, hence a zero factor
-        factor = field.MUL[field.NEG[m[:, :, col]], field.INV[pivot_row[:, :1]]]
-        m[:, :, col:] = field.ADD[
-            m[:, :, col:], field.MUL[factor[:, :, None], pivot_row[:, None, :]]
-        ]
+        factor = field.MUL[field.NEG[m[:, rows, col]], field.INV[pivot_row[:, col:col + 1]]]
+        factor, pivots = factor[:, :, None], pivot_row[:, None, cols]
+        block = m[:, rows[:, None], cols]
+        if field.e == 1:  # the codes are residues mod p
+            m[:, rows[:, None], cols] = (block + factor * pivots) % field.p
+        else:
+            m[:, rows[:, None], cols] = field.ADD[block, field.MUL[factor, pivots]]
         ranks += has_pivot
     return ranks
 
 
+def batch_rank(field: Field, mats: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, m, n) stack of matrices of field codes."""
+    mats = np.asarray(mats)
+    if mats.size == 0:
+        return np.zeros(len(mats), dtype=np.int64)
+    if field.q == 2:
+        return _rank_gf2(mats)
+    return _rank_sparse(field, np.array(mats, dtype=np.uint16))
+
+
 def matrix_rank(field: Field, matrix: np.ndarray) -> int:
     """Rank of a matrix of field codes."""
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return 0
-    if field.p == 2 and field.e == 1:
-        return _rank_gf2_bitrows(rows_to_bitrows(matrix))
-    if field.e == 1:
-        return _rank_prime(matrix, field.p)
-    return int(batch_rank(field, matrix[None])[0])
+    return int(batch_rank(field, np.asarray(matrix)[None])[0])

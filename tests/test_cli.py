@@ -182,6 +182,15 @@ def test_budget_errors_exit_3(capsys):
     assert "budget" in err.lower()
 
 
+def test_singular_exhaustive_beyond_the_plane_exits_3(capsys):
+    # characteristic 2, r >= 3 and ell >= 3 give at least 2^20 forms
+    code, _, err = run_cli(
+        capsys, "oracle", "singular", "--r", "3", "--ell", "3", "--mode", "exhaustive",
+    )
+    assert code == 3
+    assert "over budget" in err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0

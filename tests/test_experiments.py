@@ -25,7 +25,7 @@ from excodim.fforacle.experiments import (
     singular_membership,
 )
 from excodim.fforacle.fields import gf, parse_field
-from excodim.fforacle.hilbert import projective_dim_hilbert
+from excodim.fforacle.hilbert import dim_at_least, projective_dim_hilbert
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line
 
@@ -351,8 +351,8 @@ def replayed_sample(message: str):
 
 def test_crosscheck_failure_names_nonlinear_sample(monkeypatch):
     # a section test that inverts every decision must trip the first check
-    real = experiments.dim_at_least
-    monkeypatch.setattr(experiments, "dim_at_least", lambda *a, **kw: not real(*a, **kw))
+    real = experiments.batch_dim_at_least
+    monkeypatch.setattr(experiments, "batch_dim_at_least", lambda *a, **kw: ~real(*a, **kw))
     field, seed = gf(2), 31
     with pytest.raises(InvariantError) as err:
         excess_experiment(2, (2, 2), 1, field, mode="sampled", trials=50, seed=seed)
@@ -360,7 +360,19 @@ def test_crosscheck_failure_names_nonlinear_sample(monkeypatch):
     assert (got_seed, chunk) == (seed, 0)
     row = _chunk_rng(seed, 0).integers(0, 2, size=(50, 12), dtype=np.uint16)[0]
     assert [g.coeffs.tolist() for g in gens] == [row[:6].tolist(), row[6:].tolist()]
-    assert real(gens, 1, field, 2, seed) == (projective_dim_hilbert(gens) >= 1)
+    assert dim_at_least(gens, 1, field, 2, seed) == (projective_dim_hilbert(gens) >= 1)
+
+
+def wrong_reference_from(first_wrong: int, r: int):
+    """A batched Hilbert reference that turns wrong from the checked sample
+    with index first_wrong on: dimensions >= 1 become -1, the rest r."""
+    real = experiments.batch_projective_dim_hilbert
+
+    def wrong(samples, *a, **kw):
+        dims = real(samples, *a, **kw)
+        return dims[:first_wrong] + [-1 if dim >= 1 else r for dim in dims[first_wrong:]]
+
+    return wrong
 
 
 def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
@@ -369,15 +381,8 @@ def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
     field, r, trials, seed = gf(3), 3, CHUNK + 904, 12
     every = trials // 48  # the default crosscheck spacing
     checks_in_chunk0 = -(-CHUNK // every)
-    real = experiments.projective_dim_hilbert
-    calls = []
-
-    def wrong_later(gens, *a, **kw):
-        calls.append(1)
-        dim = real(gens, *a, **kw)
-        return dim if len(calls) <= checks_in_chunk0 else (-1 if dim >= 1 else r)
-
-    monkeypatch.setattr(experiments, "projective_dim_hilbert", wrong_later)
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert",
+                        wrong_reference_from(checks_in_chunk0, r))
     with pytest.raises(InvariantError) as err:
         excess_experiment(r, (1, 1, 1), 1, field, mode="sampled", trials=trials, seed=seed)
     got_seed, chunk, gens = replayed_sample(str(err.value))
@@ -385,7 +390,27 @@ def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
     rows = _chunk_rng(seed, 1).integers(0, 3, size=(trials - CHUNK, 12), dtype=np.uint16)
     row = rows[checks_in_chunk0 * every - CHUNK]
     assert [g.coeffs.tolist() for g in gens] == [row[4 * i:4 * i + 4].tolist() for i in range(3)]
-    assert (real(gens) >= 1) == (common_zero_dim(gens, field, r) >= 1)
+    assert (projective_dim_hilbert(gens) >= 1) == (common_zero_dim(gens, field, r) >= 1)
+
+
+def test_crosscheck_failure_is_independent_of_workers(monkeypatch):
+    # 13 chunks of 16 nonlinear tuples, checked every 4th sample; the
+    # reference turns wrong at the 10th check, in chunk 2
+    monkeypatch.setattr(experiments, "CHUNK", 16)
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert", wrong_reference_from(9, 2))
+    messages = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2):
+            with pytest.raises(InvariantError) as err:
+                excess_experiment(2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8,
+                                  workers=workers)
+            messages.append(str(err.value))
+    finally:
+        sys.setswitchinterval(interval)
+    assert messages[0] == messages[1]
+    assert replayed_sample(messages[0])[:2] == (8, 2)
 
 
 def test_singular_space_sampled_is_independent_of_workers(monkeypatch):

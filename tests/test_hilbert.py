@@ -7,12 +7,14 @@ from excodim.errors import BudgetError, ParameterError
 from excodim.fforacle.fields import gf
 from excodim.fforacle.hilbert import (
     GradedIdealPiece,
+    batch_dim_at_least,
+    batch_projective_dim_hilbert,
     dim_at_least,
     hilbert_function,
     projective_dim_hilbert,
     section_field,
 )
-from excodim.fforacle.polynomials import MultiPoly, n_monomials
+from excodim.fforacle.polynomials import MultiPoly, monomial_index, monomials, n_monomials
 
 ALL_FIELDS = [gf(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)]
 
@@ -255,3 +257,113 @@ def test_section_field_is_smallest_proper_extension_with_64_elements(spec, size)
                           ext.MUL[emb[codes][:, None], emb[codes][None, :]])
     assert np.array_equal(emb[base.ADD[codes[:, None], codes[None, :]]],
                           ext.ADD[emb[codes][:, None], emb[codes][None, :]])
+
+
+def loop_built_matrix(gens, t, field, r):
+    """The degree-t Macaulay matrix built one entry at a time: the rows are
+    m * g over the live generators g of degree <= t, generator by generator,
+    and the degree-(t - deg g) monomials m in graded-lex order."""
+    index = monomial_index(r, t)
+    rows = []
+    for g in gens:
+        if g.is_zero or g.d > t:
+            continue
+        for m in monomials(r, t - g.d):
+            row = np.zeros(n_monomials(r, t), dtype=np.uint16)
+            for exp, code in g.support():
+                row[index[tuple(a + b for a, b in zip(m, exp))]] = code
+            rows.append(row)
+    return np.array(rows, dtype=np.uint16).reshape(len(rows), n_monomials(r, t))
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (7, 1)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_scatter_built_piece_matches_loop_build(spec, r):
+    field = gf(*spec)
+    rng = np.random.default_rng([spec[0], spec[1], r])
+    for t in (0, 1, 2, 3, 5):
+        for degrees in ((1,), (2, 1), (3, 2, 2), (1, 4)):
+            gens = [MultiPoly.random(field, r, d, rng) for d in degrees]
+            gens.append(MultiPoly.zero(field, r, 1))
+            piece = GradedIdealPiece(gens, t)
+            expected = loop_built_matrix(gens, t, field, r)
+            assert piece.matrix.dtype == np.uint16
+            assert np.array_equal(piece.matrix, expected)
+
+
+def window_dim(gens, field, r):
+    """The Hilbert-window dimension computed one h value at a time."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return r
+    t0 = sum(g.d - 1 for g in gens) + 1
+    window = r + 2
+    values, estimates = [], []
+    for step in range(48):
+        values.append(hilbert_function(gens, t0 + step))
+        if len(values) < window:
+            continue
+        cur, level = values[-window:], 0
+        while any(cur) and len(cur) >= 2:
+            cur, level = [b - a for a, b in zip(cur, cur[1:])], level + 1
+        est = level - 1 if not any(cur) and level - 1 <= r else None
+        estimates.append(est)
+        tail = estimates[-window:]
+        if len(tail) == window and tail[0] is not None and tail.count(tail[0]) == window:
+            return tail[0]
+    raise AssertionError("window did not stabilize")
+
+
+@st.composite
+def sample_lists(draw, field, r):
+    """Several samples from ``section_cases`` with one s and one plane seed,
+    some with one more zero generator, so live signatures mix within a
+    list."""
+    cases = draw(st.lists(section_cases(field, r), min_size=1, max_size=6))
+    zero = MultiPoly.zero(field, r, 2)
+    samples = [gens + [zero] * draw(st.integers(0, 1)) for gens, _, _ in cases]
+    return samples, cases[0][1], cases[0][2]
+
+
+@pytest.mark.parametrize("spec, r, examples", [
+    ((2, 1), 2, 25), ((3, 1), 2, 25), ((2, 2), 2, 25),
+    ((2, 1), 3, 15), ((3, 1), 3, 10), ((2, 2), 3, 6),
+])
+def test_batched_tests_match_per_sample_results(spec, r, examples):
+    field = gf(*spec)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sample_lists(field, r))
+    def check(case):
+        samples, s, seed = case
+        dims = batch_projective_dim_hilbert(samples, field, r)
+        assert dims == [projective_dim_hilbert(g, field, r) for g in samples]
+        assert dims == [window_dim(g, field, r) for g in samples]
+        hits = batch_dim_at_least(samples, s, field, r, seed)
+        assert hits.tolist() == [dim_at_least(g, s, field, r, seed) for g in samples]
+
+    check()
+
+
+def test_batched_windows_split_into_small_stacks():
+    # 2 x 45 .. 72 x 55 matrices: a 4000-entry budget ranks one per stack
+    field = gf(3)
+    rng = np.random.default_rng(8)
+    samples = [[MultiPoly.random(field, 2, 1, rng) for _ in range(2)] for _ in range(12)]
+    assert (batch_projective_dim_hilbert(samples, max_entries=4000)
+            == batch_projective_dim_hilbert(samples)
+            == [window_dim(g, field, 2) for g in samples])
+
+
+def test_batched_budget_error_names_the_first_sample():
+    f = gf(2)
+    line, conic = MultiPoly.variable(f, 2, 0), MultiPoly.variable(f, 2, 1).square()
+    with pytest.raises(BudgetError, match=r"degrees \[2\]"):
+        batch_projective_dim_hilbert([[conic], [line]], max_steps=3)
+    with pytest.raises(BudgetError, match=r"degrees \[1\]"):
+        batch_projective_dim_hilbert([[line], [conic]], max_steps=3)
+    assert batch_projective_dim_hilbert([]) == []
+    assert batch_dim_at_least([], 1).tolist() == []
+    with pytest.raises(ParameterError):
+        batch_dim_at_least([[line], [MultiPoly.variable(gf(3), 2, 0)]], 1)

@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from excodim.fforacle.fields import gf
+from excodim.fforacle.hilbert import macaulay_stack
 from excodim.fforacle.linalg import batch_rank, matrix_rank
+from excodim.fforacle.polynomials import n_monomials
 
 FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2)]  # GF(2,3,7,4,8,9)
 
@@ -67,3 +69,30 @@ def test_batch_rank_shapes_and_degenerate_rows(p, e):
     for mats in (wide, tall, zero_rows, dup_rows, np.zeros((1, 3, 3), dtype=np.uint16)):
         assert batch_rank(field, mats).tolist() == [reference_rank(field, m) for m in mats]
     assert batch_rank(field, dup_rows).max() <= 2
+
+
+@st.composite
+def macaulay_stacks(draw):
+    """A field and a stack of sparse Macaulay matrices of random forms with
+    random zero coefficients, each matrix with its own rows zeroed."""
+    field = gf(*draw(st.sampled_from(FIELDS)))
+    r = draw(st.integers(1, 2))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    t = draw(st.integers(max(degrees), max(degrees) + 2))
+    nbatch = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = []
+    for d in degrees:
+        c = rng.integers(0, field.q, size=(nbatch, n_monomials(r, d)), dtype=np.uint16)
+        c[rng.random(c.shape) < draw(st.sampled_from([0.0, 0.5, 0.8]))] = 0
+        coeffs.append(c)
+    mats = macaulay_stack(nbatch, r, t, degrees, coeffs)
+    mats[rng.random(mats.shape[:2]) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0
+    return field, mats
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(macaulay_stacks())
+def test_batch_rank_matches_reference_on_sparse_macaulay_stacks(case):
+    field, mats = case
+    assert batch_rank(field, mats).tolist() == [reference_rank(field, m) for m in mats]
