@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -120,20 +119,6 @@ def _sorted_degrees(report: Report, degrees: tuple[int, ...]) -> tuple[int, ...]
             f"the bounds depend on sorted order"
         )
     return ordered
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("EXCODIM_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"EXCODIM_THREADS must be an integer, got {env!r}") from exc
-    if value < 1:
-        raise ParameterError(f"need at least one thread, got {value}")
-    return value
 
 
 # -- subcommand implementations -------------------------------------------------
@@ -291,34 +276,30 @@ def _cmd_apps_lines(args) -> Report:
 
 def _cmd_oracle_excess(args) -> Report:
     degrees = _parse_degrees(args.degrees)
-    threads = _resolve_threads(args.threads)
     report = Report(
         {"command": "oracle excess", "r": args.r, "a": args.a, "degrees": degrees,
          "field": args.field, "mode": args.mode, "trials": args.trials,
-         "seed": args.seed, "m_max": args.m_max, "threads": threads,
-         "format": args.format}
+         "seed": args.seed, "m_max": args.m_max, "format": args.format}
     )
     degrees = _sorted_degrees(report, degrees)
     field = parse_field(args.field)
     result = excess_experiment(
         args.r, degrees, args.a, field, mode=args.mode, trials=args.trials,
-        seed=args.seed, workers=threads, m_max=args.m_max,
+        seed=args.seed, m_max=args.m_max,
     )
     _add_experiment(report, result)
     return report
 
 
 def _cmd_oracle_singular(args) -> Report:
-    threads = _resolve_threads(args.threads)
     report = Report(
         {"command": "oracle singular", "r": args.r, "ell": args.ell,
          "field": args.field, "mode": args.mode, "trials": args.trials,
-         "seed": args.seed, "threads": threads, "format": args.format}
+         "seed": args.seed, "format": args.format}
     )
     field = parse_field(args.field)
     result = singular_experiment(
-        args.r, args.ell, field, mode=args.mode, trials=args.trials,
-        seed=args.seed, workers=threads,
+        args.r, args.ell, field, mode=args.mode, trials=args.trials, seed=args.seed,
     )
     _add_experiment(report, result)
     return report
@@ -335,8 +316,6 @@ def _add_experiment(report: Report, result):
                "closed-form prediction")
     report.add("status", result.status, "exact",
                "inconclusive when nothing hit (never an infinite estimate)")
-    for w in result.warnings:
-        report.warn(w)
 
 
 SELFTEST_CHECKS = [
@@ -415,8 +394,16 @@ def _cmd_selftest(args) -> Report:
 # -- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors start with "error: ", like the CLI's own, then give
+    the usage line; they exit with 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="excodim",
         description="Codimension bounds for hypersurface tuples with excess "
                     "intersection, application verdicts, and finite-field "
@@ -488,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--m-max", type=int, default=2)
-    p.add_argument("--threads", type=int)
     add_format(p)
     p.set_defaults(fn=_cmd_oracle_excess)
 
@@ -499,7 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int)
     add_format(p)
     p.set_defaults(fn=_cmd_oracle_singular)
 

@@ -3,34 +3,32 @@
 Membership probability of a closed locus decays like q^(-codim), so the
 negated log_q hit rate of an exhaustive or sampled run estimates the
 codimension and can confront the closed-form predictions.  Sampling is
-counter-based (one stream per fixed-size chunk), so results depend only on
-the seed and configuration, never on the worker count.
+counter-based (one Philox stream per fixed-size chunk), so results depend
+only on the seed and configuration.
 
-The excess experiment works one chunk at a time: a chunk's tuples form one
-(n, coefficients) block, decoded from the tuple indices in exhaustive mode or
-drawn from the chunk's stream in sampled mode.  Linear tuples are ranked as
-one (n, k, r + 1) stack by ``batch_rank``.  Every other sample, nonlinear
-tuples and the forms F, dF/dX_0, ..., dF/dX_r of the singular experiment
-beyond the plane, is decided by the linear-section test, one
-``batch_dim_at_least`` call per chunk.  Its section field and planes are
-built before the chunks fan out.
+The experiments run their chunks one after another.  A chunk's samples
+form one (n, coefficients) block, decoded from the tuple indices in
+exhaustive mode or drawn from the chunk's stream in sampled mode.  Linear
+excess tuples are ranked as one (n, k, r + 1) stack by ``batch_rank``.
+Every other sample, nonlinear tuples and the forms F, dF/dX_0, ..., dF/dX_r
+of the singular experiment beyond the plane, is decided by the
+linear-section test, one ``batch_dim_at_least`` call per chunk.  A plane
+curve is looked up in the exact set of forms with a repeated factor.
 
-In an excess run with r - k + a = 1, about ``crosscheck`` evenly spaced
-samples are also checked against two independent detectors: the
-Hilbert-window dimension must give the same decision, and a conclusive point
-count must be matched by a positive Hilbert dimension.  The chunks return
-their checked samples, and one ``batch_projective_dim_hilbert`` call after
-the fan-out gives all their dimensions; the samples are then compared in
-sample order.  A failed check raises ``InvariantError`` naming the first
-failing sample as ``poly_to_line`` lines with its seed and chunk, so it can
-be replayed, whatever the worker count.
+In an excess run about CROSSCHECK_SAMPLES evenly spaced samples are also
+checked against two independent detectors: the Hilbert-window dimension
+must give the same decision dim >= r - k + a, and a conclusive point count
+must be matched by a positive Hilbert dimension.  One
+``batch_projective_dim_hilbert`` call after the last chunk gives all their
+dimensions; the samples are then compared in sample order.  A failed check
+raises ``InvariantError`` naming the first failing sample as
+``poly_to_line`` lines with its seed and chunk, so it can be replayed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from dataclasses import dataclass
 
@@ -43,7 +41,6 @@ from .fields import Field, gf
 from .hilbert import (
     batch_dim_at_least,
     batch_projective_dim_hilbert,
-    prepare_sections,
     projective_dim_hilbert,
     restriction_map,
 )
@@ -56,6 +53,8 @@ CHUNK = 4096
 MAX_EXHAUSTIVE = 2**24
 SLOW_EXHAUSTIVE_LIMIT = 4096  # per-sample dimension detection is expensive
 MARKED_SET_BUDGET = 5_000_000
+CROSSCHECK_SAMPLES = 48  # excess samples compared with the Hilbert reference per run
+VERIFY_SAMPLES = 24  # plane forms checked against the repeated-factor set per run
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class ExperimentResult:
     degrees: tuple[int, ...] | None = None
     ell: int | None = None
     a: int | None = None
-    warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -94,7 +92,6 @@ class ExperimentResult:
             "predicted_codim": self.predicted_codim,
             "status": self.status,
             "runtime_s": self.runtime_s,
-            "warnings": list(self.warnings),
         }
 
     def key(self) -> tuple:
@@ -102,7 +99,7 @@ class ExperimentResult:
         return (
             self.kind, self.q, self.r, self.degrees, self.ell, self.a,
             self.mode, self.trials, self.hits, self.seed,
-            self.est_codim, self.predicted_codim, self.status, self.warnings,
+            self.est_codim, self.predicted_codim, self.status,
         )
 
 
@@ -110,11 +107,10 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
-def _run_chunks(fn, chunk_args, workers: int):
-    if workers <= 1:
-        return [fn(arg) for arg in chunk_args]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunk_args))
+def _chunks(trials: int):
+    """(index, first sample, size) of each CHUNK-sized chunk of a run."""
+    for lo in range(0, trials, CHUNK):
+        yield lo // CHUNK, lo, min(CHUNK, trials - lo)
 
 
 def _check_trials(trials: int | None):
@@ -177,8 +173,7 @@ def _crosscheck_sample(generators, s: int, hit: bool, hil: int, m_max: int, seed
 
 def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
                       trials: int | None = None, seed: int = DEFAULT_SEED,
-                      workers: int = 1, m_max: int = 2,
-                      crosscheck: int = 48) -> ExperimentResult:
+                      m_max: int = 2) -> ExperimentResult:
     """Estimate the codimension of the locus of tuples whose common vanishing
     locus has dimension at least r - k + a, and attach the predicted value."""
     start = time.perf_counter()
@@ -226,13 +221,16 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
             pos += n
         return gens
 
-    check_every = max(1, trials // max(crosscheck, 1)) if crosscheck else 0
-
-    def handle_block(first: int, block: np.ndarray) -> tuple[int, list]:
-        """Hits among the tuples block[i], whose sample index is first + i,
-        and the (generators, decision, chunk) of its samples due a
-        crosscheck."""
-        n = len(block)
+    check_every = max(1, trials // CROSSCHECK_SAMPLES)
+    hits = 0
+    checked = []  # (generators, decision, chunk) of the samples due a crosscheck
+    for chunk, lo, n in _chunks(trials):
+        if mode == "exhaustive":
+            # tuple idx has the base-q digits of idx as its coefficients
+            idx = np.arange(lo, lo + n, dtype=np.int64)
+            block = ((idx[:, None] // q ** np.arange(total)) % q).astype(np.uint16)
+        else:
+            block = _chunk_rng(seed, chunk).integers(0, q, size=(n, total), dtype=np.uint16)
         if linear:
             # the k x (r+1) coefficient matrix of a linear tuple cuts out a
             # linear space of projective dimension r - rank
@@ -240,30 +238,9 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
         else:
             hit = batch_dim_at_least([decode_tuple(row) for row in block], threshold, field,
                                      r, seed)
-        checked = []
-        if crosscheck and threshold == 1:
-            checked = [(decode_tuple(block[i]), bool(hit[i]), first // CHUNK)
-                       for i in range((-first) % check_every, n, check_every)]
-        return int(np.count_nonzero(hit)), checked
-
-    def run_chunk(chunk_index: int) -> tuple[int, list]:
-        lo = chunk_index * CHUNK
-        n = min(CHUNK, trials - lo)
-        if mode == "exhaustive":
-            # tuple idx has the base-q digits of idx as its coefficients
-            idx = np.arange(lo, lo + n, dtype=np.int64)
-            block = ((idx[:, None] // q ** np.arange(total)) % q).astype(np.uint16)
-        else:
-            rng = _chunk_rng(seed, chunk_index)
-            block = rng.integers(0, q, size=(n, total), dtype=np.uint16)
-        return handle_block(lo, block)
-
-    if not linear:
-        prepare_sections(field, r, threshold, degrees, seed)
-    n_chunks = (trials + CHUNK - 1) // CHUNK
-    blocks = _run_chunks(run_chunk, range(n_chunks), workers)
-    hits = sum(block_hits for block_hits, _ in blocks)
-    checked = [sample for _, block_checked in blocks for sample in block_checked]
+        hits += int(np.count_nonzero(hit))
+        checked.extend((decode_tuple(block[i]), bool(hit[i]), chunk)
+                       for i in range((-lo) % check_every, n, check_every))
     # one batched reference over every checked sample, compared in sample
     # order, so the first disagreeing sample is the one named
     dims = batch_projective_dim_hilbert([gens for gens, _, _ in checked], field, r)
@@ -289,8 +266,7 @@ def _singular_generators(F: MultiPoly) -> list[MultiPoly]:
     return [F] + [F.partial(i) for i in range(F.r + 1)]
 
 
-def singular_membership(F: MultiPoly, crosscheck: bool = False,
-                        m_max: int = 2) -> SingularMembership:
+def singular_membership(F: MultiPoly) -> SingularMembership:
     """Projective dimension of the scheme cut out by F and its formal
     partial derivatives (the singular locus, scheme-theoretically)."""
     if F.d < 2:
@@ -298,16 +274,6 @@ def singular_membership(F: MultiPoly, crosscheck: bool = False,
     field, r = F.field, F.r
     gens = [g for g in _singular_generators(F) if not g.is_zero]
     dim = r if not gens else projective_dim_hilbert(gens, field=field, r=r)
-    if crosscheck and gens:
-        try:
-            probe = projective_dim_points(gens, field=field, r=r, m_max=m_max)
-        except BudgetError:
-            probe = None
-        if probe is not None and probe.positive_dimensional and dim < 1:
-            raise InvariantError(
-                f"point count {probe.counts} exceeds cutoff {probe.cutoff} "
-                f"but the rank detector reports dimension {dim}"
-            )
     return SingularMembership(sing_dim=dim)
 
 
@@ -378,8 +344,8 @@ def repeated_factor_keys(field: Field, r: int, ell: int,
 
 
 def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
-                        trials: int | None = None, seed: int = DEFAULT_SEED,
-                        workers: int = 1, verify_samples: int = 24) -> ExperimentResult:
+                        trials: int | None = None,
+                        seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Estimate the codimension of the degree-ell forms whose singular locus
     is positive-dimensional, against the singular-line prediction."""
     start = time.perf_counter()
@@ -405,20 +371,14 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
         elif mode == "sampled":
             if trials is None:
                 trials = 1_000_000
-
-            def run_chunk(chunk_index: int) -> int:
-                lo = chunk_index * CHUNK
-                m = min(CHUNK, trials - lo)
-                rng = _chunk_rng(seed, chunk_index)
-                rows = rng.integers(0, q, size=(m, n), dtype=np.uint16)
-                return sum(1 for i in range(m) if rows[i].tobytes() in marked)
-
-            n_chunks = (trials + CHUNK - 1) // CHUNK
-            hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
+            hits = 0
+            for chunk, _, m in _chunks(trials):
+                rows = _chunk_rng(seed, chunk).integers(0, q, size=(m, n), dtype=np.uint16)
+                hits += sum(1 for row in rows if row.tobytes() in marked)
         else:
             raise ParameterError(f"unknown mode {mode!r}")
 
-        _verify_marked(field, r, ell, marked, seed, verify_samples)
+        _verify_marked(field, r, ell, marked, seed)
     else:
         # no squarefree shortcut beyond the plane: the section test on F and
         # its partials decides dim Sing(F) >= 1, one chunk per call
@@ -431,18 +391,11 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
         mode = "sampled"
         if trials is None:
             trials = 2_000
-
-        def run_chunk(chunk_index: int) -> int:
-            lo = chunk_index * CHUNK
-            m = min(CHUNK, trials - lo)
-            rng = _chunk_rng(seed, chunk_index)
-            rows = rng.integers(0, q, size=(m, n), dtype=np.uint16)
+        hits = 0
+        for chunk, _, m in _chunks(trials):
+            rows = _chunk_rng(seed, chunk).integers(0, q, size=(m, n), dtype=np.uint16)
             samples = [_singular_generators(MultiPoly(field, r, ell, row)) for row in rows]
-            return int(np.count_nonzero(batch_dim_at_least(samples, 1, field, r, seed)))
-
-        prepare_sections(field, r, 1, (ell, ell - 1), seed)
-        n_chunks = (trials + CHUNK - 1) // CHUNK
-        hits = sum(_run_chunks(run_chunk, range(n_chunks), workers))
+            hits += int(np.count_nonzero(batch_dim_at_least(samples, 1, field, r, seed)))
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(
@@ -453,18 +406,15 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     )
 
 
-def _verify_marked(field: Field, r: int, ell: int, marked: frozenset[bytes],
-                   seed: int, verify_samples: int):
+def _verify_marked(field: Field, r: int, ell: int, marked: frozenset[bytes], seed: int):
     """Spot-check the repeated-factor set against the rank detector."""
-    if verify_samples <= 0:
-        return
     n = n_monomials(r, ell)
     picks: list[bytes] = []
     inside = sorted(marked)
-    step = max(1, len(inside) // max(verify_samples // 2, 1))
-    picks.extend(inside[::step][: verify_samples // 2])
+    step = max(1, len(inside) // (VERIFY_SAMPLES // 2))
+    picks.extend(inside[::step][: VERIFY_SAMPLES // 2])
     rng = _chunk_rng(seed, 2**31)
-    rows = rng.integers(0, field.q, size=(verify_samples - len(picks), n), dtype=np.uint16)
+    rows = rng.integers(0, field.q, size=(VERIFY_SAMPLES - len(picks), n), dtype=np.uint16)
     picks.extend(row.tobytes() for row in rows)
     for key in picks:
         coeffs = np.frombuffer(key, dtype=np.uint16)

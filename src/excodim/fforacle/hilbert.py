@@ -27,6 +27,10 @@ section certifies dim < s.  The outcomes are:
   finite locus of D points passes one random plane with probability about
   D / |E|, so a false positive has probability about (D / |E|)^SECTION_TRIES.
 
+The section field and the restriction map of each plane and degree are
+built on first use and cached, so later calls with the same field, r, s and
+seed only read them.
+
 ``projective_dim_hilbert`` gives the exact dimension from a window of h
 values in the full space: it infers the degree of the eventual Hilbert
 polynomial from finite differences and widens the window until that degree
@@ -343,17 +347,6 @@ def restriction_map(field: Field, r: int, b: int, seed: int, k: int, d: int) -> 
     rmap = np.stack([image(exp).coeffs for exp in monomials(r, d)])
     rmap.flags.writeable = False
     return rmap
-
-
-def prepare_sections(field: Field, r: int, s: int, degrees, seed: int = 0):
-    """Build the section field and the restriction maps that ``dim_at_least``
-    uses on forms of these degrees, so worker threads only read the caches."""
-    if not 0 <= s <= r:
-        return
-    ext, _ = section_field(field)
-    for d in sorted(set(degrees)):
-        for k in range(SECTION_TRIES):
-            restriction_map(ext, r, r - s, seed, k, d)
 
 
 def _restrict(field: Field, coeffs: np.ndarray, rmap: np.ndarray) -> np.ndarray:

@@ -155,22 +155,13 @@ def test_argument_errors_exit_2(capsys):
      "--trials", "-5"),
     ("oracle", "singular", "--r", "2", "--ell", "3", "--mode", "sampled",
      "--trials", "0"),
-    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--threads", "-1"),
-    ("oracle", "singular", "--r", "2", "--ell", "3", "--threads", "-3"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--threads", "2"),
+    ("oracle", "singular", "--r", "2", "--ell", "3", "--threads", "2"),
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
-
-
-def test_bad_threads_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("EXCODIM_THREADS", "x")
-    code, _, err = run_cli(
-        capsys, "oracle", "excess", "--r", "1", "--degrees", "1", "--mode", "exhaustive",
-    )
-    assert code == 2
-    assert "EXCODIM_THREADS" in err
 
 
 def test_budget_errors_exit_3(capsys):
@@ -195,16 +186,6 @@ def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("EXCODIM_THREADS", "3")
-    code, out, _ = run_cli(
-        capsys, "oracle", "excess", "--r", "1", "--degrees", "1", "--a", "1",
-        "--mode", "exhaustive", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 3
 
 
 def test_default_seed_is_fixed(capsys):

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import sys
 from itertools import product
 
 import numpy as np
@@ -59,18 +58,14 @@ def test_excess_exhaustive_linear_pairs_closed_form(q):
 
 def test_excess_sampled_linear_matches_row_by_row():
     field, r, degrees, trials, seed = gf(3), 3, (1, 1, 1), CHUNK + 904, 12
-    one = excess_experiment(r, degrees, 1, field, mode="sampled", trials=trials,
-                            seed=seed, workers=1)
-    two = excess_experiment(r, degrees, 1, field, mode="sampled", trials=trials,
-                            seed=seed, workers=2)
-    assert one.key() == two.key()
+    res = excess_experiment(r, degrees, 1, field, mode="sampled", trials=trials, seed=seed)
     hits = 0
     for chunk, n in enumerate((CHUNK, trials - CHUNK)):
         rows = _chunk_rng(seed, chunk).integers(0, 3, size=(n, 12), dtype=np.uint16)
         for row in rows:
             gens = [MultiPoly(field, r, 1, row[4 * i:4 * i + 4]) for i in range(3)]
             hits += common_zero_dim(gens, field, r) >= 1
-    assert one.hits == hits
+    assert res.hits == hits
 
 
 def test_excess_single_form_on_line():
@@ -104,15 +99,6 @@ def test_excess_sampled_mode_runs_and_is_seeded():
     assert res.key() == again.key()
     other = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=600, seed=8)
     assert other.hits != res.hits or other.key() != res.key()
-
-
-def test_worker_count_does_not_change_results():
-    one = excess_experiment(2, (1, 1), 1, gf(3), mode="exhaustive", workers=1)
-    four = excess_experiment(2, (1, 1), 1, gf(3), mode="exhaustive", workers=4)
-    assert one.key() == four.key()
-    s1 = singular_experiment(2, 3, gf(2), mode="sampled", trials=3000, workers=1)
-    s4 = singular_experiment(2, 3, gf(2), mode="sampled", trials=3000, workers=4)
-    assert s1.key() == s4.key()
 
 
 def test_excess_budget_guards():
@@ -149,7 +135,7 @@ def test_singular_membership_cases():
     smooth_conic = MultiPoly.from_terms(
         f3, 2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
     )
-    assert singular_membership(smooth_conic, crosscheck=True).sing_dim == -1
+    assert singular_membership(smooth_conic).sing_dim == -1
 
     # doubled line times a line is singular along the doubled line
     x0 = MultiPoly.variable(f2, 2, 0)
@@ -349,18 +335,23 @@ def replayed_sample(message: str):
     return seed, chunk, [poly_from_line(line) for line in lines]
 
 
-def test_crosscheck_failure_names_nonlinear_sample(monkeypatch):
-    # a section test that inverts every decision must trip the first check
+@pytest.mark.parametrize("r, degrees", [(2, (1, 1, 2)), (2, (2, 2)), (3, (1, 2))],
+                         ids=["s0", "s1", "s2"])
+def test_crosscheck_failure_names_nonlinear_sample(monkeypatch, r, degrees):
+    # a section test that inverts every decision must trip the first check,
+    # whatever the threshold s = r - k + 1
     real = experiments.batch_dim_at_least
     monkeypatch.setattr(experiments, "batch_dim_at_least", lambda *a, **kw: ~real(*a, **kw))
-    field, seed = gf(2), 31
+    field, seed, s = gf(2), 31, r - len(degrees) + 1
     with pytest.raises(InvariantError) as err:
-        excess_experiment(2, (2, 2), 1, field, mode="sampled", trials=50, seed=seed)
+        excess_experiment(r, degrees, 1, field, mode="sampled", trials=50, seed=seed)
     got_seed, chunk, gens = replayed_sample(str(err.value))
     assert (got_seed, chunk) == (seed, 0)
-    row = _chunk_rng(seed, 0).integers(0, 2, size=(50, 12), dtype=np.uint16)[0]
-    assert [g.coeffs.tolist() for g in gens] == [row[:6].tolist(), row[6:].tolist()]
-    assert dim_at_least(gens, 1, field, 2, seed) == (projective_dim_hilbert(gens) >= 1)
+    ends = np.cumsum([n_monomials(r, d) for d in degrees])
+    row = _chunk_rng(seed, 0).integers(0, 2, size=(50, ends[-1]), dtype=np.uint16)[0]
+    assert [g.coeffs.tolist() for g in gens] == [
+        row[lo:hi].tolist() for lo, hi in zip([0, *ends[:-1]], ends)]
+    assert dim_at_least(gens, s, field, r, seed) == (projective_dim_hilbert(gens) >= s)
 
 
 def wrong_reference_from(first_wrong: int, r: int):
@@ -379,7 +370,7 @@ def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
     # linear tuples over two chunks; the Hilbert reference turns wrong from
     # the first check of chunk 1 on
     field, r, trials, seed = gf(3), 3, CHUNK + 904, 12
-    every = trials // 48  # the default crosscheck spacing
+    every = trials // experiments.CROSSCHECK_SAMPLES
     checks_in_chunk0 = -(-CHUNK // every)
     monkeypatch.setattr(experiments, "batch_projective_dim_hilbert",
                         wrong_reference_from(checks_in_chunk0, r))
@@ -393,40 +384,30 @@ def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
     assert (projective_dim_hilbert(gens) >= 1) == (common_zero_dim(gens, field, r) >= 1)
 
 
-def test_crosscheck_failure_is_independent_of_workers(monkeypatch):
+def test_crosscheck_failure_names_a_later_chunk(monkeypatch):
     # 13 chunks of 16 nonlinear tuples, checked every 4th sample; the
     # reference turns wrong at the 10th check, in chunk 2
     monkeypatch.setattr(experiments, "CHUNK", 16)
     monkeypatch.setattr(experiments, "batch_projective_dim_hilbert", wrong_reference_from(9, 2))
-    messages = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 2):
-            with pytest.raises(InvariantError) as err:
-                excess_experiment(2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8,
-                                  workers=workers)
-            messages.append(str(err.value))
-    finally:
-        sys.setswitchinterval(interval)
-    assert messages[0] == messages[1]
-    assert replayed_sample(messages[0])[:2] == (8, 2)
+    with pytest.raises(InvariantError) as err:
+        excess_experiment(2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8)
+    assert replayed_sample(str(err.value))[:2] == (8, 2)
 
 
-def test_singular_space_sampled_is_independent_of_workers(monkeypatch):
-    # small chunks and frequent thread switches, so several workers read the
-    # section caches over many chunks at once
+def test_singular_space_sampled_matches_per_sample_decisions(monkeypatch):
+    # chunks of 16: the section test batched over each chunk decides every
+    # form as it does on that form alone
     monkeypatch.setattr(experiments, "CHUNK", 16)
-    one = singular_experiment(3, 3, gf(2), mode="sampled", trials=100, seed=3, workers=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (2, 4):
-            many = singular_experiment(3, 3, gf(2), mode="sampled", trials=100, seed=3,
-                                       workers=workers)
-            assert one.key() == many.key()
-    finally:
-        sys.setswitchinterval(interval)
+    field, r, ell, trials, seed = gf(2), 3, 3, 100, 3
+    res = singular_experiment(r, ell, field, mode="sampled", trials=trials, seed=seed)
+    hits = 0
+    for chunk, lo in enumerate(range(0, trials, 16)):
+        size = (min(16, trials - lo), n_monomials(r, ell))
+        rows = _chunk_rng(seed, chunk).integers(0, 2, size=size, dtype=np.uint16)
+        for row in rows:
+            F = MultiPoly(field, r, ell, row)
+            hits += dim_at_least([F] + [F.partial(i) for i in range(r + 1)], 1, field, r, seed)
+    assert res.hits == hits > 0
 
 
 @pytest.mark.parametrize("r, ell", [(3, 4), (4, 3)])
