@@ -316,6 +316,9 @@ def _add_experiment(report: Report, result):
                "closed-form prediction")
     report.add("status", result.status, "exact",
                "inconclusive when nothing hit (never an infinite estimate)")
+    if result.crosscheck_skipped:
+        report.warn(f"{result.crosscheck_skipped} crosscheck samples were not checked: "
+                    f"their Hilbert window is over budget")
 
 
 SELFTEST_CHECKS = [
@@ -394,16 +397,8 @@ def _cmd_selftest(args) -> Report:
 # -- parser ---------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument errors start with "error: ", like the CLI's own, then give
-    the usage line; they exit with 2."""
-
-    def error(self, message):
-        self.exit(2, f"error: {message}\n{self.format_usage()}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="excodim",
         description="Codimension bounds for hypersurface tuples with excess "
                     "intersection, application verdicts, and finite-field "

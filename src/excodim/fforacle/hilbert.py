@@ -44,7 +44,9 @@ code on a list of one.  Samples are grouped by the degrees of their live
 generators, and each group advances through its planes or its window degrees
 in lockstep, one Macaulay stack per step, split so that no stack holds more
 than MAX_MATRIX_ENTRIES entries.  A sample leaves its group once it is
-decided.
+decided.  Where ``batch_projective_dim_hilbert`` raises the BudgetError of
+the first sample over budget, ``batch_projective_dim_hilbert_or_none`` gives
+None for each such sample.
 """
 
 from __future__ import annotations
@@ -233,20 +235,20 @@ def _stable_dim(values: list[int], estimates: list, r: int) -> int | None:
     return None
 
 
-def batch_projective_dim_hilbert(samples, field: Field | None = None, r: int | None = None,
-                                 max_steps: int = MAX_WINDOW_STEPS,
-                                 max_entries: int = MAX_MATRIX_ENTRIES) -> list[int]:
-    """``projective_dim_hilbert`` of every sample, a list of generators each.
+def _window_dims(samples, field, r, max_steps: int,
+                 max_entries: int) -> tuple[list[int], dict[int, BudgetError]]:
+    """Window dimensions of a list of samples, and the BudgetError of each
+    sample index whose window goes over a budget (its dimension is then
+    meaningless).
 
     Samples whose live generators have the same degrees share every window
     degree, so each such group advances its windows in lockstep, with one
     stack of Macaulay matrices per degree t; a sample leaves its group once
-    its estimate is stable.  If samples exceed a budget, the BudgetError of
-    the first of them is raised.
+    its estimate is stable.
     """
     samples = [list(sample) for sample in samples]
     if not samples:
-        return []
+        return [], {}
     field, r = _ring_of_samples(samples, field, r)
     dims = [r] * len(samples)  # no live generator: the whole space
     errors: dict[int, BudgetError] = {}
@@ -254,6 +256,15 @@ def batch_projective_dim_hilbert(samples, field: Field | None = None, r: int | N
         if not degrees:
             continue
         t0 = sum(d - 1 for d in degrees) + 1
+        try:
+            # no estimate is stable before 2r + 3 values, so every member
+            # reaches these pieces: fail on their budget before ranking any
+            for t in range(t0, t0 + min(max_steps, 2 * r + 3)):
+                _check_budget(t, sum(n_monomials(r, t - d) for d in degrees),
+                              n_monomials(r, t), max_entries)
+        except BudgetError as err:
+            errors.update((int(m), err) for m in members)
+            continue
         values: list[list[int]] = [[] for _ in members]
         estimates: list[list] = [[] for _ in members]
         active = np.arange(len(members))
@@ -282,9 +293,27 @@ def batch_projective_dim_hilbert(samples, field: Field | None = None, r: int | N
                 f"(generators of degrees {list(degrees)})"
             )
             errors.update((int(members[a]), err) for a in active)
+    return dims, errors
+
+
+def batch_projective_dim_hilbert(samples, field: Field | None = None, r: int | None = None,
+                                 max_steps: int = MAX_WINDOW_STEPS,
+                                 max_entries: int = MAX_MATRIX_ENTRIES) -> list[int]:
+    """``projective_dim_hilbert`` of every sample, a list of generators each.
+    If samples exceed a budget, the BudgetError of the first of them is
+    raised."""
+    dims, errors = _window_dims(samples, field, r, max_steps, max_entries)
     if errors:
         raise errors[min(errors)]
     return dims
+
+
+def batch_projective_dim_hilbert_or_none(samples, field: Field | None = None,
+                                         r: int | None = None) -> list[int | None]:
+    """``batch_projective_dim_hilbert`` with None, instead of a BudgetError,
+    for each sample whose window goes over the default budgets."""
+    dims, errors = _window_dims(samples, field, r, MAX_WINDOW_STEPS, MAX_MATRIX_ENTRIES)
+    return [None if i in errors else dim for i, dim in enumerate(dims)]
 
 
 def projective_dim_hilbert(generators, field: Field | None = None, r: int | None = None,

@@ -160,8 +160,20 @@ def test_argument_errors_exit_2(capsys):
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == "" and err.startswith("error: ")
+    assert code == 2 and out == ""
+    if "--threads" in argv:
+        # a removed flag is rejected by the argument parser
+        assert "unrecognized arguments: --threads 2" in err
+    else:
+        assert err.startswith("error: ")
+
+
+def test_r4_excess_warns_of_unchecked_samples(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "excess", "--r", "4", "--degrees", "1,2",
+                           "--a", "1", "--trials", "300", "--seed", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["warnings"] == [
+        "47 crosscheck samples were not checked: their Hilbert window is over budget"]
 
 
 def test_budget_errors_exit_3(capsys):

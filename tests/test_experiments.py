@@ -357,7 +357,7 @@ def test_crosscheck_failure_names_nonlinear_sample(monkeypatch, r, degrees):
 def wrong_reference_from(first_wrong: int, r: int):
     """A batched Hilbert reference that turns wrong from the checked sample
     with index first_wrong on: dimensions >= 1 become -1, the rest r."""
-    real = experiments.batch_projective_dim_hilbert
+    real = experiments.batch_projective_dim_hilbert_or_none
 
     def wrong(samples, *a, **kw):
         dims = real(samples, *a, **kw)
@@ -372,7 +372,7 @@ def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
     field, r, trials, seed = gf(3), 3, CHUNK + 904, 12
     every = trials // experiments.CROSSCHECK_SAMPLES
     checks_in_chunk0 = -(-CHUNK // every)
-    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert",
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert_or_none",
                         wrong_reference_from(checks_in_chunk0, r))
     with pytest.raises(InvariantError) as err:
         excess_experiment(r, (1, 1, 1), 1, field, mode="sampled", trials=trials, seed=seed)
@@ -388,10 +388,28 @@ def test_crosscheck_failure_names_a_later_chunk(monkeypatch):
     # 13 chunks of 16 nonlinear tuples, checked every 4th sample; the
     # reference turns wrong at the 10th check, in chunk 2
     monkeypatch.setattr(experiments, "CHUNK", 16)
-    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert", wrong_reference_from(9, 2))
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert_or_none",
+                        wrong_reference_from(9, 2))
     with pytest.raises(InvariantError) as err:
         excess_experiment(2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8)
     assert replayed_sample(str(err.value))[:2] == (8, 2)
+
+
+@pytest.mark.parametrize("degrees, mode, hits, checked, skipped", [
+    ((1, 1, 1), "exhaustive", 6728, 49, 44),
+    ((1, 2), "sampled", 12, 50, 47),
+    ((2, 2), "sampled", 0, 50, 50),
+])
+def test_excess_r4_counts_crosschecks_over_budget(monkeypatch, degrees, mode, hits, checked,
+                                                  skipped):
+    # at r = 4 most crosscheck windows go over the matrix budget: the run
+    # finishes, and the samples that fit are still checked
+    real, seen = experiments._crosscheck_sample, []
+    monkeypatch.setattr(experiments, "_crosscheck_sample",
+                        lambda *a, **kw: seen.append(a) or real(*a, **kw))
+    trials = 300 if mode == "sampled" else None
+    res = excess_experiment(4, degrees, 1, gf(2), mode=mode, trials=trials, seed=5)
+    assert (res.hits, res.crosscheck_skipped, len(seen)) == (hits, skipped, checked - skipped)
 
 
 def test_singular_space_sampled_matches_per_sample_decisions(monkeypatch):

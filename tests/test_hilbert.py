@@ -9,6 +9,7 @@ from excodim.fforacle.hilbert import (
     GradedIdealPiece,
     batch_dim_at_least,
     batch_projective_dim_hilbert,
+    batch_projective_dim_hilbert_or_none,
     dim_at_least,
     hilbert_function,
     projective_dim_hilbert,
@@ -354,6 +355,17 @@ def test_batched_windows_split_into_small_stacks():
     assert (batch_projective_dim_hilbert(samples, max_entries=4000)
             == batch_projective_dim_hilbert(samples)
             == [window_dim(g, field, 2) for g in samples])
+
+
+def test_batched_reference_gives_none_over_budget():
+    # three linear forms in P^4 need a 3003 x 1365 piece at t = 11; one
+    # linear form stays within the budget
+    f = gf(2)
+    x = [MultiPoly.variable(f, 4, i) for i in range(5)]
+    assert batch_projective_dim_hilbert_or_none([x[:3], [x[0]], x[1:4]]) == [None, 3, None]
+    assert batch_projective_dim_hilbert_or_none([]) == []
+    with pytest.raises(BudgetError, match=r"degree-11 piece needs a 3003x1365 matrix"):
+        batch_projective_dim_hilbert([[x[0]], x[:3]])
 
 
 def test_batched_budget_error_names_the_first_sample():
