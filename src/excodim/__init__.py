@@ -1,7 +1,13 @@
 """Codimension calculus for loci of hypersurface tuples with excess
 intersection, the derived results on singular hypersurfaces and lines through
 points, and an independent finite-field oracle for checking the predictions
-on small instances."""
+on small instances.
+
+The oracle subpackage ``fforacle`` needs numpy, and it is imported on first
+access to ``excodim.fforacle``, so importing the calculus alone does not
+load numpy."""
+
+import importlib
 
 from .combinatorics import INF, ExtInt, binomial, h_min
 from .errors import BudgetError, InvariantError, ParameterError
@@ -31,7 +37,6 @@ from .applications import (
     rnc_stratum_codim_lower,
     singular_line_codim,
 )
-from . import fforacle
 
 __version__ = "0.1.0"
 
@@ -68,3 +73,11 @@ __all__ = [
     "fforacle",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # importlib, because "from . import fforacle" would look the name up on
+    # this package again and recurse
+    if name == "fforacle":
+        return importlib.import_module(".fforacle", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

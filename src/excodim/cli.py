@@ -5,12 +5,16 @@ oracle excess, oracle singular, selftest.  Every run echoes its full
 configuration; JSON is the canonical machine format and CSV is available for
 sweep commands only.  Exit codes: 0 ok, 1 internal invariant violation,
 2 argument error, 3 budget exhaustion.
+
+Only the oracle subcommands and selftest load the finite-field oracle, and
+with it numpy; the calculus subcommands run on the standard library alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -18,15 +22,16 @@ from . import applications as apps
 from . import strata
 from .combinatorics import ExtInt, h_min
 from .errors import BudgetError, InvariantError, ParameterError
-from .fforacle import (
-    excess_experiment,
-    gf,
-    poonen_sample,
-    restriction_codim,
-    singular_experiment,
-)
-from .fforacle.experiments import DEFAULT_SEED
-from .fforacle.fields import parse_field
+
+
+def _oracle():
+    """The finite-field oracle package, imported on first use."""
+    # numpy's bundled OpenBLAS starts a busy-waiting worker thread per extra
+    # core when it loads, and the oracle makes no BLAS call; a user's own
+    # setting still wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import fforacle
+    return fforacle
 
 
 def _jsonable(value):
@@ -275,15 +280,18 @@ def _cmd_apps_lines(args) -> Report:
 
 
 def _cmd_oracle_excess(args) -> Report:
+    oracle = _oracle()
     degrees = _parse_degrees(args.degrees)
+    if args.seed is None:
+        args.seed = oracle.DEFAULT_SEED
     report = Report(
         {"command": "oracle excess", "r": args.r, "a": args.a, "degrees": degrees,
          "field": args.field, "mode": args.mode, "trials": args.trials,
          "seed": args.seed, "m_max": args.m_max, "format": args.format}
     )
     degrees = _sorted_degrees(report, degrees)
-    field = parse_field(args.field)
-    result = excess_experiment(
+    field = oracle.fields.parse_field(args.field)
+    result = oracle.excess_experiment(
         args.r, degrees, args.a, field, mode=args.mode, trials=args.trials,
         seed=args.seed, m_max=args.m_max,
     )
@@ -292,13 +300,16 @@ def _cmd_oracle_excess(args) -> Report:
 
 
 def _cmd_oracle_singular(args) -> Report:
+    oracle = _oracle()
+    if args.seed is None:
+        args.seed = oracle.DEFAULT_SEED
     report = Report(
         {"command": "oracle singular", "r": args.r, "ell": args.ell,
          "field": args.field, "mode": args.mode, "trials": args.trials,
          "seed": args.seed, "format": args.format}
     )
-    field = parse_field(args.field)
-    result = singular_experiment(
+    field = oracle.fields.parse_field(args.field)
+    result = oracle.singular_experiment(
         args.r, args.ell, field, mode=args.mode, trials=args.trials, seed=args.seed,
     )
     _add_experiment(report, result)
@@ -363,16 +374,20 @@ SELFTEST_CHECKS = [
     ("lines(7,6)", lambda: sorted(apps.lines_verdict(7, 6).maximal_components), ["ContainsPlane"]),
     ("lines(4,6)", lambda: sorted(apps.lines_verdict(4, 6).maximal_components), ["ContainsLine"]),
     ("lines(6,3)", lambda: sorted(apps.lines_verdict(6, 3).maximal_components), ["EckardtPoint"]),
-    ("GF(8) generator order", lambda: gf(2, 3).element_order(gf(2, 3).generator_code), 7),
-    ("oracle excess F2 hits", lambda: excess_experiment(2, (1, 1), 1, gf(2), mode="exhaustive").hits, 22),
-    ("oracle r=1 estimate", lambda: excess_experiment(1, (1,), 1, gf(2), mode="exhaustive").est_codim, 2.0),
-    ("restriction(4,3,1)", lambda: restriction_codim(4, 3, 1), 4),
+    ("GF(8) generator order",
+     lambda: _oracle().gf(2, 3).element_order(_oracle().gf(2, 3).generator_code), 7),
+    ("oracle excess F2 hits", lambda: _oracle().excess_experiment(
+        2, (1, 1), 1, _oracle().gf(2), mode="exhaustive").hits, 22),
+    ("oracle r=1 estimate", lambda: _oracle().excess_experiment(
+        1, (1,), 1, _oracle().gf(2), mode="exhaustive").est_codim, 2.0),
+    ("restriction(4,3,1)", lambda: _oracle().restriction_codim(4, 3, 1), 4),
     ("poonen odd identity", lambda: _poonen_check(), True),
 ]
 
 
 def _poonen_check() -> bool:
-    sample = poonen_sample(2, 5, gf(2), seed=DEFAULT_SEED)
+    oracle = _oracle()
+    sample = oracle.poonen_sample(2, 5, oracle.gf(2), seed=oracle.DEFAULT_SEED)
     return all(
         sample.F.partial(i) == sample.base.partial(i) + sample.fudge[i].square()
         for i in range(3)
@@ -468,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="2")
     p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)  # None: the oracle's DEFAULT_SEED
     p.add_argument("--m-max", type=int, default=2)
     add_format(p)
     p.set_defaults(fn=_cmd_oracle_excess)
@@ -479,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="2")
     p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)  # None: the oracle's DEFAULT_SEED
     add_format(p)
     p.set_defaults(fn=_cmd_oracle_singular)
 

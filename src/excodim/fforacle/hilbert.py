@@ -42,11 +42,17 @@ Both tests take whole lists of samples through ``batch_dim_at_least`` and
 ``batch_projective_dim_hilbert``; the single-sample functions are the same
 code on a list of one.  Samples are grouped by the degrees of their live
 generators, and each group advances through its planes or its window degrees
-in lockstep, one Macaulay stack per step, split so that no stack holds more
-than MAX_MATRIX_ENTRIES entries.  A sample leaves its group once it is
-decided.  Where ``batch_projective_dim_hilbert`` raises the BudgetError of
+in lockstep, one Macaulay stack per step.  A sample leaves its group once it
+is decided.  Where ``batch_projective_dim_hilbert`` raises the BudgetError of
 the first sample over budget, ``batch_projective_dim_hilbert_or_none`` gives
 None for each such sample.
+
+The split size of a stack is not the budget.  One piece may hold up to
+MAX_MATRIX_ENTRIES (4M) entries before it raises BudgetError, but a stack is
+ranked in parts of at most STACK_ENTRIES (2^20) entries, or of one matrix
+when a single piece is larger.  A full chunk of 4096 section matrices,
+46 x 21 each, peaks at about 70 MB split at 4M entries and at about 50 MB
+split at 2^20, in no more time.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .linalg import batch_rank, matrix_rank
 from .polynomials import MultiPoly, monomial_index, monomials, n_monomials
 
 MAX_MATRIX_ENTRIES = 4_000_000
+STACK_ENTRIES = 2**20  # split size of a Macaulay stack, below the budget
 MAX_WINDOW_STEPS = 48
 # Over planes of a 64-element field a false "dim >= s" needs four unlucky
 # draws of odds about D/64 each; a larger field would cost more table memory
@@ -136,16 +143,16 @@ def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs,
                  max_entries: int = MAX_MATRIX_ENTRIES) -> np.ndarray:
     """Ranks of the degree-t ideal pieces of a nonempty batch of generator
     tuples (coefficient stacks as in ``macaulay_stack``), ranked in stacks of
-    at most max_entries entries.  As in ``GradedIdealPiece``, the budget of
-    one piece counts the rows of its nonzero generators only; the first
-    piece over it raises BudgetError."""
+    at most min(STACK_ENTRIES, max_entries) entries.  As in
+    ``GradedIdealPiece``, the budget of one piece counts the rows of its
+    nonzero generators only; the first piece over it raises BudgetError."""
     ncols = n_monomials(r, t)
     shifts = [n_monomials(r, t - d) for d in degrees]  # t >= every degree here
     live_rows = sum(n * c.any(axis=1) for n, c in zip(shifts, coeffs))
     over = np.flatnonzero(live_rows * ncols > max_entries)
     if over.size:
         _check_budget(t, int(live_rows[over[0]]), ncols, max_entries)
-    per = max(1, max_entries // max(sum(shifts) * ncols, 1))
+    per = max(1, min(STACK_ENTRIES, max_entries) // max(sum(shifts) * ncols, 1))
     parts = ([c[lo:lo + per] for c in coeffs] for lo in range(0, len(coeffs[0]), per))
     return np.concatenate([
         batch_rank(field, macaulay_stack(len(part[0]), r, t, degrees, part)) for part in parts

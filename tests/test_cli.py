@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from excodim import cli
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -211,3 +217,91 @@ def test_default_seed_is_fixed(capsys):
         values = {r["name"]: r["value"] for r in json.loads(out)["results"]}
         outs.append((values["hits"], values["trials"]))
     assert outs[0] == outs[1]
+
+
+def run_fresh(argv, **env):
+    """Run argv under a fresh interpreter with this excodim and no
+    OPENBLAS_NUM_THREADS unless env sets it; the completed process."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [base.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *argv], env={**base, **env}, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_calculus_commands_do_not_import_numpy():
+    code = (
+        "import sys, excodim\n"
+        "from excodim import cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in (['bounds', '--r', '4', '--degrees', '3,4,5,6'],\n"
+        "             ['exact', '--r', '4', '--degrees', '2,3,4,5'],\n"
+        "             ['slope', '--r', '4', '--degrees', '3,4,5,6'], ['example'],\n"
+        "             ['apps', 'singular', '--r', '3', '--ell', '5'],\n"
+        "             ['apps', 'lines', '--r', '5', '--d', '4']):\n"
+        "    assert cli.run(argv) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([False] * 7)
+
+
+def test_oracle_is_reachable_from_the_package():
+    code = (
+        "import excodim\n"
+        "oracle = excodim.fforacle\n"
+        "from excodim import fforacle\n"
+        "from excodim import *\n"
+        "print(oracle is fforacle, fforacle.gf(2).q, 'fforacle' in excodim.__all__)\n"
+        "excodim.no_such_name\n"
+    )
+    proc = run_fresh(["-c", code])
+    assert proc.stdout.splitlines() == ["True 2 True"]
+    assert "AttributeError: module 'excodim' has no attribute 'no_such_name'" in proc.stderr
+
+
+THREADS = (
+    "import os, sys\n"
+    "from excodim import cli\n"
+    "assert cli.run(sys.argv[1:]) == 0\n"
+    "threads = None\n"
+    "if os.path.exists('/proc/self/status'):\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        threads = next(int(line.split()[1]) for line in f if line.startswith('Threads:'))\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--field", "3"),
+    ("oracle", "singular", "--r", "3", "--ell", "3", "--trials", "40"),
+    ("selftest",),
+])
+def test_oracle_commands_run_openblas_on_one_thread(argv):
+    proc = run_fresh(["-c", THREADS, *argv])
+    assert proc.returncode == 0, proc.stderr
+    blas, threads = proc.stdout.splitlines()[-1].split()
+    assert blas == "1"
+    if threads == "None":
+        pytest.skip("no /proc to count threads in")
+    assert threads == "1"
+
+
+def test_user_openblas_setting_wins():
+    proc = run_fresh(["-c", THREADS, "oracle", "singular", "--r", "3", "--ell", "3",
+                      "--trials", "40"], OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split()[0] == "2"
+
+
+def test_module_entry_point_runs_the_oracle():
+    # "python -m excodim.cli" imports the package first, as the benchmark does
+    proc = run_fresh(["-m", "excodim.cli", "oracle", "singular", "--r", "3", "--ell", "3",
+                      "--trials", "40", "--format", "json"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    jsonschema.validate(report, load_schema())
+    values = {r["name"]: r["value"] for r in report["results"]}
+    assert (values["trials"], values["hits"], values["predicted_codim"]) == (40, 0, 6)
+    assert report["config"]["seed"] == 271828

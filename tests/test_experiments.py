@@ -14,6 +14,7 @@ from excodim.fforacle.experiments import (
     DEFAULT_SEED,
     _chunk_rng,
     _scalar_representatives,
+    _singular_generators,
     common_zero_dim,
     excess_experiment,
     poonen_combine,
@@ -24,7 +25,7 @@ from excodim.fforacle.experiments import (
     singular_membership,
 )
 from excodim.fforacle.fields import gf, parse_field
-from excodim.fforacle.hilbert import dim_at_least, projective_dim_hilbert
+from excodim.fforacle.hilbert import batch_dim_at_least, dim_at_least, projective_dim_hilbert
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line
 
@@ -426,6 +427,45 @@ def test_singular_space_sampled_matches_per_sample_decisions(monkeypatch):
             F = MultiPoly(field, r, ell, row)
             hits += dim_at_least([F] + [F.partial(i) for i in range(r + 1)], 1, field, r, seed)
     assert res.hits == hits > 0
+
+
+@pytest.mark.parametrize("ell, n", [(3, 256), (5, 64)])
+def test_euler_drop_keeps_the_singular_decisions(ell, n):
+    # odd ell over GF(2): F lies in the ideal of its partials, so the section
+    # test decides every form the same with F and without it.  Half the
+    # forms are random, half are singular along the line X_0 = X_1 = 0.
+    field, r = gf(2), 3
+    rng = np.random.default_rng(ell)
+    x0, x1 = MultiPoly.variable(field, r, 0), MultiPoly.variable(field, r, 1)
+    forms = [MultiPoly.random(field, r, ell, rng) for _ in range(n // 2)]
+    forms += [x0 * x0 * a + x0 * x1 * b + x1 * x1 * c
+              for a, b, c in ([MultiPoly.random(field, r, ell - 2, rng) for _ in range(3)]
+                              for _ in range(n // 2))]
+    with_f = batch_dim_at_least([_singular_generators(F) for F in forms], 1, field, r, 5)
+    without_f = batch_dim_at_least([_singular_generators(F)[1:] for F in forms], 1, field, r, 5)
+    assert with_f.tolist() == without_f.tolist()
+    assert with_f[n // 2:].all()
+
+
+@pytest.mark.parametrize("ell", [3, 4, 5])
+def test_singular_sections_keep_f_for_even_ell(monkeypatch, ell):
+    sizes = set()
+    section_test = experiments.batch_dim_at_least
+
+    def spy(samples, *args):
+        sizes.update(len(gens) for gens in samples)
+        return section_test(samples, *args)
+
+    monkeypatch.setattr(experiments, "batch_dim_at_least", spy)
+    singular_experiment(3, ell, gf(2), mode="sampled", trials=8, seed=5)
+    assert sizes == {4 if ell % 2 else 5}
+    if ell % 2 == 0:
+        # why F stays: the partials of X_0^3 X_1 + X_2^3 X_3 + X_1^4 vanish
+        # on the line X_0 = X_2 = 0, but F has one zero there
+        x = [MultiPoly.variable(gf(2), 3, i) for i in range(4)]
+        F = x[0] * x[0] * x[0] * x[1] + x[2] * x[2] * x[2] * x[3] + x[1].square().square()
+        assert not dim_at_least(_singular_generators(F), 1)
+        assert dim_at_least(_singular_generators(F)[1:], 1)
 
 
 @pytest.mark.parametrize("r, ell", [(3, 4), (4, 3)])

@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from excodim.combinatorics import binomial
 from excodim.errors import BudgetError, ParameterError
+from excodim.fforacle import hilbert
+from excodim.fforacle.experiments import singular_experiment
 from excodim.fforacle.fields import gf
 from excodim.fforacle.hilbert import (
     GradedIdealPiece,
@@ -347,7 +349,7 @@ def test_batched_tests_match_per_sample_results(spec, r, examples):
     check()
 
 
-def test_batched_windows_split_into_small_stacks():
+def test_batched_windows_split_into_small_stacks(monkeypatch):
     # 2 x 45 .. 72 x 55 matrices: a 4000-entry budget ranks one per stack
     field = gf(3)
     rng = np.random.default_rng(8)
@@ -355,6 +357,13 @@ def test_batched_windows_split_into_small_stacks():
     assert (batch_projective_dim_hilbert(samples, max_entries=4000)
             == batch_projective_dim_hilbert(samples)
             == [window_dim(g, field, 2) for g in samples])
+    # under the 4M-entry budget a full chunk of singular sections, 4096
+    # stacked 24 x 15 matrices, is ranked in stacks of at most 2^20 entries
+    sizes = []
+    rank = hilbert.batch_rank
+    monkeypatch.setattr(hilbert, "batch_rank", lambda f, m: sizes.append(m.size) or rank(f, m))
+    assert singular_experiment(3, 3, gf(2), trials=4096, seed=5).hits == 174
+    assert max(sizes) <= hilbert.STACK_ENTRIES == 2**20 < sum(sizes)
 
 
 def test_batched_reference_gives_none_over_budget():
