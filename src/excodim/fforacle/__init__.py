@@ -5,7 +5,6 @@ projective point counts, and the codimension experiments built on them."""
 from .fields import Field, gf
 from .polynomials import MultiPoly, monomials, n_monomials, poly_from_line, poly_to_line
 from .hilbert import (
-    GradedIdealPiece,
     batch_dim_at_least,
     batch_projective_dim_hilbert,
     dim_at_least,
@@ -32,7 +31,6 @@ __all__ = [
     "n_monomials",
     "poly_from_line",
     "poly_to_line",
-    "GradedIdealPiece",
     "batch_dim_at_least",
     "batch_projective_dim_hilbert",
     "dim_at_least",

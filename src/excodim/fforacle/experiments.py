@@ -13,7 +13,9 @@ excess tuples are ranked as one (n, k, r + 1) stack by ``batch_rank``.
 Every other sample, nonlinear tuples and the forms F, dF/dX_0, ..., dF/dX_r
 of the singular experiment beyond the plane, is decided by the
 linear-section test, one ``batch_dim_at_least`` call per chunk.  A plane
-curve is looked up in the exact set of forms with a repeated factor.
+curve is looked up in the exact set of forms with a repeated factor, built
+by ``repeated_factor_keys`` with one ``rows_times`` product per square H^2
+that multiplies every cofactor G at once.
 
 For odd ell the singular samples leave F out.  Euler's relation
 ell * F = sum_i X_i dF/dX_i puts F in the ideal of its partials whenever the
@@ -27,13 +29,16 @@ In an excess run about CROSSCHECK_SAMPLES evenly spaced samples are also
 checked against two independent detectors: the Hilbert-window dimension
 must give the same decision dim >= r - k + a, and a conclusive point count
 must be matched by a positive Hilbert dimension.  One
-``batch_projective_dim_hilbert_or_none`` call after the last chunk gives all
-their dimensions; the samples are then compared in sample order.  A failed
+``batch_projective_dim_hilbert`` call after the last chunk gives all their
+dimensions; the samples are then compared in sample order.  A failed
 check raises ``InvariantError`` naming the first failing sample as
 ``poly_to_line`` lines with its seed and chunk, so it can be replayed.  The
 window of a sample can go over the matrix budget (from r = 4 on it mostly
-does); such a sample is not checked, and the result counts it in
-``crosscheck_skipped``.
+does); the reference gives None for such a sample, which is not checked,
+and the result counts it in ``crosscheck_skipped``.
+
+The mode, seed and m_max are checked before any work; a bad value raises
+ParameterError.
 """
 
 from __future__ import annotations
@@ -51,13 +56,14 @@ from ..strata import span_stratum_exact
 from .fields import Field, gf
 from .hilbert import (
     batch_dim_at_least,
-    batch_projective_dim_hilbert_or_none,
+    batch_projective_dim_hilbert,
+    macaulay_stack,
     projective_dim_hilbert,
     restriction_map,
 )
-from .linalg import batch_rank, matrix_rank
+from .linalg import batch_rank, matrix_rank, rows_times
 from .points import projective_dim_points
-from .polynomials import MultiPoly, monomial_index, monomials, n_monomials, poly_to_line
+from .polynomials import MultiPoly, n_monomials, poly_to_line
 
 DEFAULT_SEED = 271828
 CHUNK = 4096
@@ -126,32 +132,20 @@ def _chunks(trials: int):
         yield lo // CHUNK, lo, min(CHUNK, trials - lo)
 
 
-def _check_trials(trials: int | None):
+def _check_run(mode: str, trials: int | None, seed: int):
+    """The checks every experiment makes of its mode, trials and seed."""
+    if mode not in ("auto", "exhaustive", "sampled"):
+        raise ParameterError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
+    if not 0 <= seed < 2**63:  # a Philox key word
+        raise ParameterError(f"need 0 <= seed < 2**63, got {seed}")
 
 
 def _estimate(hits: int, trials: int, q: int) -> tuple[float | None, str]:
     if hits == 0:
         return None, "inconclusive"
     return (math.log(trials) - math.log(hits)) / math.log(q), "ok"
-
-
-def common_zero_dim(generators, field: Field, r: int) -> int:
-    """Projective dimension of the common vanishing locus.
-
-    Linear systems are solved exactly by rank (the quotient is a polynomial
-    ring); everything else goes through the Hilbert-window detector.  This is
-    the exact-dimension reference; the experiments decide samples with
-    ``dim_at_least``.
-    """
-    gens = [g for g in generators if not g.is_zero]
-    if not gens:
-        return r
-    if all(g.d == 1 for g in gens):
-        rows = np.stack([g.coeffs for g in gens])
-        return r - matrix_rank(field, rows)
-    return projective_dim_hilbert(gens, field=field, r=r)
 
 
 def _replay_note(generators, seed: int, chunk: int) -> str:
@@ -194,7 +188,9 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     k = len(degrees)
     if a < 1:
         raise ParameterError(f"need a >= 1, got {a}")
-    _check_trials(trials)
+    _check_run(mode, trials, seed)
+    if not 1 <= m_max <= 3:
+        raise ParameterError(f"need 1 <= m_max <= 3, got {m_max}")
     threshold = r - k + a
     if threshold < 0:
         raise ParameterError(f"need r - k + a >= 0, got {threshold}")
@@ -220,11 +216,8 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
                 f"detection is over budget; use sampled mode"
             )
         trials = space
-    elif mode == "sampled":
-        if trials is None:
-            trials = 20_000
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
+    elif trials is None:
+        trials = 20_000
 
     def decode_tuple(coeff_row) -> list[MultiPoly]:
         gens = []
@@ -256,7 +249,7 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
                        for i in range((-lo) % check_every, n, check_every))
     # one batched reference over every checked sample, compared in sample
     # order, so the first disagreeing sample is the one named
-    hil_dims = batch_projective_dim_hilbert_or_none([gens for gens, _, _ in checked], field, r)
+    hil_dims = batch_projective_dim_hilbert([gens for gens, _, _ in checked], field, r)
     for (gens, hit, chunk), hil in zip(checked, hil_dims):
         if hil is not None:  # None: its window is over budget
             _crosscheck_sample(gens, threshold, hit, hil, m_max, seed, chunk)
@@ -311,8 +304,7 @@ def _scalar_representatives(field: Field, r: int, d: int):
 
 
 @lru_cache(maxsize=8)
-def repeated_factor_keys(field: Field, r: int, ell: int,
-                         budget: int = MARKED_SET_BUDGET) -> frozenset[bytes]:
+def repeated_factor_keys(field: Field, r: int, ell: int) -> frozenset[bytes]:
     """Coefficient keys of every degree-ell form divisible by the square of a
     positive-degree form (the zero form included).
 
@@ -320,7 +312,7 @@ def repeated_factor_keys(field: Field, r: int, ell: int,
     the partials of H^2*G are all divisible by H, so V(H) is singular on
     V(H^2*G); conversely a squarefree plane curve has a finite singular
     locus, and over a finite (perfect) field squarefree is a geometric
-    property.
+    property.  The enumeration is capped at MARKED_SET_BUDGET steps.
     """
     q = field.q
     cost = 0
@@ -328,32 +320,17 @@ def repeated_factor_keys(field: Field, r: int, ell: int,
         reps = (q ** n_monomials(r, h) - 1) // (q - 1)
         cost += reps * (q ** n_monomials(r, ell - 2 * h))
         cost += q ** n_monomials(r, h)
-    if cost > budget:
+    if cost > MARKED_SET_BUDGET:
         raise BudgetError(f"repeated-factor enumeration needs ~{cost} steps, over budget")
 
     marked: set[bytes] = set()
-    n_ell = n_monomials(r, ell)
-    index = monomial_index(r, ell)
     for h in range(1, ell // 2 + 1):
-        dg = ell - 2 * h
-        ng = n_monomials(r, dg)
-        all_g = _all_coeff_rows(q, ng)
+        all_g = _all_coeff_rows(q, n_monomials(r, ell - 2 * h))
         for H in _scalar_representatives(field, r, h):
-            H2 = H * H
-            if field.e == 1:
-                # multiplication by a fixed form is linear: batch it as a
-                # residue matmul (prime-field codes are residues)
-                mat = np.zeros((ng, n_ell), dtype=np.int64)
-                for j, em in enumerate(monomials(r, dg)):
-                    for exp, code in H2.support():
-                        col = index[tuple(a + b for a, b in zip(em, exp))]
-                        mat[j, col] = code
-                rows = (all_g.astype(np.int64) @ mat % field.p).astype(np.uint16)
-                marked.update(row.tobytes() for row in rows)
-            else:
-                for coeffs in all_g:
-                    G = MultiPoly(field, r, dg, coeffs)
-                    marked.add((H2 * G).coeffs.tobytes())
+            # G -> H^2 * G is linear, its matrix the degree-ell Macaulay
+            # matrix of H^2
+            square = macaulay_stack(1, r, ell, [2 * h], [(H * H).coeffs[None]])[0]
+            marked.update(row.tobytes() for row in rows_times(field, all_g, square))
     return frozenset(marked)
 
 
@@ -367,7 +344,7 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
         raise ParameterError("the singular experiment runs over characteristic 2")
     if r < 2 or ell < 3:
         raise ParameterError(f"need r >= 2 and ell >= 3, got r={r}, ell={ell}")
-    _check_trials(trials)
+    _check_run(mode, trials, seed)
     predicted = singular_line_codim(r, ell)
     q = field.q
     n = n_monomials(r, ell)
@@ -382,15 +359,13 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
                 raise BudgetError(f"state space {q}^{n} exceeds the exhaustive cap")
             trials = space
             hits = len(marked)
-        elif mode == "sampled":
+        else:
             if trials is None:
                 trials = 1_000_000
             hits = 0
             for chunk, _, m in _chunks(trials):
                 rows = _chunk_rng(seed, chunk).integers(0, q, size=(m, n), dtype=np.uint16)
                 hits += sum(1 for row in rows if row.tobytes() in marked)
-        else:
-            raise ParameterError(f"unknown mode {mode!r}")
 
         _verify_marked(field, r, ell, marked, seed)
     else:
@@ -400,8 +375,6 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
             # characteristic 2 with r >= 3 and ell >= 3 gives at least 2^20
             # forms, always above SLOW_EXHAUSTIVE_LIMIT
             raise BudgetError(f"exhaustive singular run over {q}^{n} forms is over budget")
-        if mode not in ("auto", "sampled"):
-            raise ParameterError(f"unknown mode {mode!r}")
         mode = "sampled"
         if trials is None:
             trials = 2_000

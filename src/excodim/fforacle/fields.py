@@ -9,6 +9,10 @@ Construction goes through the polynomial representation F_p[x]/(f): an
 element is an integer whose base-p digits are the coefficients of x^0, x^1,
 ...  The defining irreducible f and the generator are both chosen as the
 first candidate in that integer order, which makes every table reproducible.
+
+Arithmetic is table lookup: ``ADD``, ``MUL``, ``NEG`` and ``INV`` are numpy
+arrays indexed by codes, and ``pow_table(j)[x, j]`` is x^j, so the Frobenius
+map x -> x^p is ``pow_table(p)[:, p]``.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 class Field:
-    """Precomputed add/mul/inv/Frobenius tables for GF(p^e)."""
+    """Precomputed ADD/MUL/NEG/INV tables for GF(p^e), indexed by codes."""
 
     def __init__(self, p: int, n: int):
         q = p**n
@@ -133,20 +137,16 @@ class Field:
                 break
         self.generator_rep = gen
 
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            x = mulmod(x, gen)
-        self._exp_rep = exp
-
-        # code <-> polynomial representation
+        # code <-> polynomial representation: the residue itself over a prime
+        # field, else code k for gen^(k-1)
         if n == 1:
             code_from_rep = np.arange(q, dtype=np.int64)
         else:
             code_from_rep = np.zeros(q, dtype=np.int64)
+            x = 1
             for i in range(q - 1):
-                code_from_rep[exp[i]] = i + 1
+                code_from_rep[x] = i + 1
+                x = mulmod(x, gen)
         self._code_from_rep = code_from_rep.astype(np.uint16)
         rep_from_code = np.zeros(q, dtype=np.int64)
         rep_from_code[code_from_rep] = np.arange(q)
@@ -167,7 +167,6 @@ class Field:
             for a in range(1, q):
                 inv[a] = pow(a, p - 2, p)
             self.INV = inv
-            self.FROB = i.astype(np.uint16)
         else:
             reps = self._rep_from_code
             digits = np.zeros((q, n), dtype=np.int64)
@@ -194,32 +193,9 @@ class Field:
             inv = ((-logs) % (q - 1)) + 1
             inv[0] = 0
             self.INV = inv.astype(np.uint16)
-            frob = ((logs * p) % (q - 1)) + 1
-            frob[0] = 0
-            self.FROB = frob.astype(np.uint16)
         self.one = int(self._code_from_rep[1])
 
-    # -- scalar / vector operations on codes ---------------------------------
-
-    def add(self, a, b):
-        return self.ADD[a, b]
-
-    def mul(self, a, b):
-        return self.MUL[a, b]
-
-    def neg(self, a):
-        return self.NEG[a]
-
-    def sub(self, a, b):
-        return self.ADD[a, self.NEG[b]]
-
-    def inv(self, a):
-        if np.any(np.asarray(a) == 0):
-            raise ZeroDivisionError("inverse of zero")
-        return self.INV[a]
-
-    def frobenius(self, a):
-        return self.FROB[a]
+    # -- scalar operations on codes -------------------------------------------
 
     def from_int(self, m: int) -> int:
         return int(self._code_from_rep[m % self.p])
@@ -247,9 +223,6 @@ class Field:
     @property
     def generator_code(self) -> int:
         return int(self._code_from_rep[self.generator_rep])
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- extensions -----------------------------------------------------------
 

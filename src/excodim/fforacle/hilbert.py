@@ -7,7 +7,8 @@ h(t) = C(t+r, r) - rank for the quotient.  Its matrix, the Macaulay matrix, is
 filled by one scatter per generator through ``scatter_index``, a read-only
 index cached per (r, deg g_i, t), and a whole batch of tuples whose
 generators have the same degrees is filled as one (B, rows, cols) stack by
-``macaulay_stack`` and ranked by ``batch_rank``.
+``macaulay_stack`` and ranked by ``batch_rank``.  ``hilbert_function`` ranks
+one such piece, a stack of one.
 
 ``dim_at_least`` answers the question every experiment asks of a sample,
 "is dim V(g) >= s?", by a linear section.  With b = r - s it restricts the
@@ -29,7 +30,8 @@ section certifies dim < s.  The outcomes are:
 
 The section field and the restriction map of each plane and degree are
 built on first use and cached, so later calls with the same field, r, s and
-seed only read them.
+seed only read them.  A stack of forms is restricted by one ``rows_times``
+product of its coefficient rows with the map.
 
 ``projective_dim_hilbert`` gives the exact dimension from a window of h
 values in the full space: it infers the degree of the eventual Hilbert
@@ -43,9 +45,11 @@ Both tests take whole lists of samples through ``batch_dim_at_least`` and
 code on a list of one.  Samples are grouped by the degrees of their live
 generators, and each group advances through its planes or its window degrees
 in lockstep, one Macaulay stack per step.  A sample leaves its group once it
-is decided.  Where ``batch_projective_dim_hilbert`` raises the BudgetError of
-the first sample over budget, ``batch_projective_dim_hilbert_or_none`` gives
-None for each such sample.
+is decided.  A window that needs more than MAX_WINDOW_STEPS degrees, or a
+piece over the matrix budget, puts its sample over budget:
+``batch_projective_dim_hilbert`` gives None for it, and
+``projective_dim_hilbert`` raises its BudgetError.  The budgets are module
+constants read at each call.
 
 The split size of a stack is not the budget.  One piece may hold up to
 MAX_MATRIX_ENTRIES (4M) entries before it raises BudgetError, but a stack is
@@ -63,7 +67,7 @@ import numpy as np
 
 from ..errors import BudgetError, InvariantError, ParameterError
 from .fields import Field
-from .linalg import batch_rank, matrix_rank
+from .linalg import batch_rank, matrix_rank, rows_times
 from .polynomials import MultiPoly, monomial_index, monomials, n_monomials
 
 MAX_MATRIX_ENTRIES = 4_000_000
@@ -95,8 +99,8 @@ def _ring_of(generators, field, r):
     return field, r
 
 
-def _check_budget(t: int, nrows: int, ncols: int, max_entries: int):
-    if nrows * ncols > max_entries:
+def _check_budget(t: int, nrows: int, ncols: int):
+    if nrows * ncols > MAX_MATRIX_ENTRIES:
         raise BudgetError(
             f"degree-{t} piece needs a {nrows}x{ncols} matrix, over the budget"
         )
@@ -139,57 +143,37 @@ def macaulay_stack(nbatch: int, r: int, t: int, degrees, coeffs) -> np.ndarray:
     return out
 
 
-def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs,
-                 max_entries: int = MAX_MATRIX_ENTRIES) -> np.ndarray:
+def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs) -> np.ndarray:
     """Ranks of the degree-t ideal pieces of a nonempty batch of generator
-    tuples (coefficient stacks as in ``macaulay_stack``), ranked in stacks of
-    at most min(STACK_ENTRIES, max_entries) entries.  As in
-    ``GradedIdealPiece``, the budget of one piece counts the rows of its
-    nonzero generators only; the first piece over it raises BudgetError."""
+    tuples of degrees at most t (coefficient stacks as in
+    ``macaulay_stack``), ranked in stacks of at most
+    min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) entries.  The budget of one piece
+    counts the rows of its nonzero generators only; the first piece over it
+    raises BudgetError."""
     ncols = n_monomials(r, t)
-    shifts = [n_monomials(r, t - d) for d in degrees]  # t >= every degree here
+    shifts = [n_monomials(r, t - d) for d in degrees]
     live_rows = sum(n * c.any(axis=1) for n, c in zip(shifts, coeffs))
-    over = np.flatnonzero(live_rows * ncols > max_entries)
+    over = np.flatnonzero(live_rows * ncols > MAX_MATRIX_ENTRIES)
     if over.size:
-        _check_budget(t, int(live_rows[over[0]]), ncols, max_entries)
-    per = max(1, min(STACK_ENTRIES, max_entries) // max(sum(shifts) * ncols, 1))
+        _check_budget(t, int(live_rows[over[0]]), ncols)
+    per = max(1, min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) // max(sum(shifts) * ncols, 1))
     parts = ([c[lo:lo + per] for c in coeffs] for lo in range(0, len(coeffs[0]), per))
     return np.concatenate([
         batch_rank(field, macaulay_stack(len(part[0]), r, t, degrees, part)) for part in parts
     ])
 
 
-class GradedIdealPiece:
-    """The degree-t graded piece of the ideal spanned by the generators."""
-
-    def __init__(self, generators, t: int, field: Field | None = None, r: int | None = None,
-                 max_entries: int = MAX_MATRIX_ENTRIES):
-        self.field, self.r = _ring_of(generators, field, r)
-        self.t = t
-        self.generators = _live_generators(generators)
-        ncols = n_monomials(self.r, t)
-        nrows = sum(
-            n_monomials(self.r, t - g.d) for g in self.generators if g.d <= t
-        )
-        _check_budget(t, nrows, ncols, max_entries)
-        self.ncols = ncols
-        self.matrix = macaulay_stack(1, self.r, t, [g.d for g in self.generators],
-                                     [g.coeffs[None] for g in self.generators])[0]
-        self._rank: int | None = None
-
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = matrix_rank(self.field, self.matrix)
-        return self._rank
-
-
-def hilbert_function(generators, t: int, field: Field | None = None, r: int | None = None,
-                     max_entries: int = MAX_MATRIX_ENTRIES) -> int:
+def hilbert_function(generators, t: int, field: Field | None = None,
+                     r: int | None = None) -> int:
     """Dimension of the degree-t graded piece of the quotient ring."""
     if t < 0:
         raise ParameterError(f"need t >= 0, got {t}")
-    piece = GradedIdealPiece(generators, t, field=field, r=r, max_entries=max_entries)
-    return n_monomials(piece.r, t) - piece.rank()
+    field, r = _ring_of(generators, field, r)
+    gens = [g for g in _live_generators(generators) if g.d <= t]
+    if not gens:
+        return n_monomials(r, t)
+    rank = _piece_ranks(field, r, t, [g.d for g in gens], [g.coeffs[None] for g in gens])
+    return n_monomials(r, t) - int(rank[0])
 
 
 def _ring_of_samples(samples, field, r):
@@ -242,8 +226,7 @@ def _stable_dim(values: list[int], estimates: list, r: int) -> int | None:
     return None
 
 
-def _window_dims(samples, field, r, max_steps: int,
-                 max_entries: int) -> tuple[list[int], dict[int, BudgetError]]:
+def _window_dims(samples, field, r) -> tuple[list[int], dict[int, BudgetError]]:
     """Window dimensions of a list of samples, and the BudgetError of each
     sample index whose window goes over a budget (its dimension is then
     meaningless).
@@ -266,20 +249,19 @@ def _window_dims(samples, field, r, max_steps: int,
         try:
             # no estimate is stable before 2r + 3 values, so every member
             # reaches these pieces: fail on their budget before ranking any
-            for t in range(t0, t0 + min(max_steps, 2 * r + 3)):
+            for t in range(t0, t0 + min(MAX_WINDOW_STEPS, 2 * r + 3)):
                 _check_budget(t, sum(n_monomials(r, t - d) for d in degrees),
-                              n_monomials(r, t), max_entries)
+                              n_monomials(r, t))
         except BudgetError as err:
             errors.update((int(m), err) for m in members)
             continue
         values: list[list[int]] = [[] for _ in members]
         estimates: list[list] = [[] for _ in members]
         active = np.arange(len(members))
-        for step in range(max_steps):
+        for step in range(MAX_WINDOW_STEPS):
             t = t0 + step
             try:
-                ranks = _piece_ranks(field, r, t, degrees, [c[active] for c in coeffs],
-                                     max_entries)
+                ranks = _piece_ranks(field, r, t, degrees, [c[active] for c in coeffs])
             except BudgetError as err:
                 errors.update((int(members[a]), err) for a in active)
                 break
@@ -296,43 +278,34 @@ def _window_dims(samples, field, r, max_steps: int,
                 break
         else:
             err = BudgetError(
-                f"Hilbert dimension did not stabilize within {max_steps} steps "
+                f"Hilbert dimension did not stabilize within {MAX_WINDOW_STEPS} steps "
                 f"(generators of degrees {list(degrees)})"
             )
             errors.update((int(members[a]), err) for a in active)
     return dims, errors
 
 
-def batch_projective_dim_hilbert(samples, field: Field | None = None, r: int | None = None,
-                                 max_steps: int = MAX_WINDOW_STEPS,
-                                 max_entries: int = MAX_MATRIX_ENTRIES) -> list[int]:
-    """``projective_dim_hilbert`` of every sample, a list of generators each.
-    If samples exceed a budget, the BudgetError of the first of them is
-    raised."""
-    dims, errors = _window_dims(samples, field, r, max_steps, max_entries)
-    if errors:
-        raise errors[min(errors)]
-    return dims
-
-
-def batch_projective_dim_hilbert_or_none(samples, field: Field | None = None,
-                                         r: int | None = None) -> list[int | None]:
-    """``batch_projective_dim_hilbert`` with None, instead of a BudgetError,
-    for each sample whose window goes over the default budgets."""
-    dims, errors = _window_dims(samples, field, r, MAX_WINDOW_STEPS, MAX_MATRIX_ENTRIES)
+def batch_projective_dim_hilbert(samples, field: Field | None = None,
+                                 r: int | None = None) -> list[int | None]:
+    """``projective_dim_hilbert`` of every sample, a list of generators each,
+    with None for each sample whose window goes over a budget."""
+    dims, errors = _window_dims(samples, field, r)
     return [None if i in errors else dim for i, dim in enumerate(dims)]
 
 
-def projective_dim_hilbert(generators, field: Field | None = None, r: int | None = None,
-                           max_steps: int = MAX_WINDOW_STEPS,
-                           max_entries: int = MAX_MATRIX_ENTRIES) -> int:
+def projective_dim_hilbert(generators, field: Field | None = None,
+                           r: int | None = None) -> int:
     """Projective dimension of the common vanishing locus, in {-1, 0, ..., r}.
 
     -1 encodes the empty scheme.  The window starts at
     t0 = sum(deg g_i - 1) + 1 and widens until the inferred Hilbert
-    polynomial degree agrees across r + 2 consecutive window ends.
+    polynomial degree agrees across r + 2 consecutive window ends.  A window
+    over budget raises its BudgetError.
     """
-    return batch_projective_dim_hilbert([generators], field, r, max_steps, max_entries)[0]
+    dims, errors = _window_dims([generators], field, r)
+    if errors:
+        raise errors[0]
+    return dims[0]
 
 
 def section_field(field: Field) -> tuple[Field, np.ndarray]:
@@ -385,15 +358,6 @@ def restriction_map(field: Field, r: int, b: int, seed: int, k: int, d: int) -> 
     return rmap
 
 
-def _restrict(field: Field, coeffs: np.ndarray, rmap: np.ndarray) -> np.ndarray:
-    """Coefficient rows times a restriction map, in table arithmetic."""
-    prods = field.MUL[coeffs[:, :, None], rmap[None, :, :]]
-    restricted = prods[:, 0]
-    for j in range(1, prods.shape[1]):
-        restricted = field.ADD[restricted, prods[:, j]]
-    return restricted
-
-
 def batch_dim_at_least(samples, s: int, field: Field | None = None, r: int | None = None,
                        seed: int = 0) -> np.ndarray:
     """``dim_at_least`` of every sample, a list of generators each, as a
@@ -420,7 +384,7 @@ def batch_dim_at_least(samples, s: int, field: Field | None = None, r: int | Non
         ext, emb = section_field(field)
         coeffs = [emb[c] for c in coeffs]
         for k in range(SECTION_TRIES):
-            section = [_restrict(ext, c, restriction_map(ext, r, b, seed, k, d))
+            section = [rows_times(ext, c, restriction_map(ext, r, b, seed, k, d))
                        for d, c in zip(degrees, coeffs)]
             empty = _piece_ranks(ext, b, t, degrees, section) == n_monomials(b, t)
             hit[members[empty]] = False

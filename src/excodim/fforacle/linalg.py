@@ -9,6 +9,11 @@ nonzero, which keeps the sparse Macaulay matrices of ``hilbert`` cheap.
 Prime-field codes are residues, so their rows are updated mod p; extension
 fields use the ADD/MUL tables.  ``matrix_rank`` is ``batch_rank`` on a stack
 of one.
+
+``rows_times`` multiplies a block of coefficient rows by one matrix: an
+integer matmul mod p on prime fields, a table-lookup sum otherwise.  It
+restricts forms to the section planes of ``hilbert`` and multiplies forms by
+a fixed square in ``experiments``.
 """
 
 from __future__ import annotations
@@ -93,3 +98,14 @@ def batch_rank(field: Field, mats: np.ndarray) -> np.ndarray:
 def matrix_rank(field: Field, matrix: np.ndarray) -> int:
     """Rank of a matrix of field codes."""
     return int(batch_rank(field, np.asarray(matrix)[None])[0])
+
+
+def rows_times(field: Field, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The (n, k) coefficient rows times a (k, m) matrix of field codes."""
+    if field.e == 1:  # the codes are residues mod p
+        return (rows.astype(np.int64) @ matrix.astype(np.int64) % field.p).astype(np.uint16)
+    prods = field.MUL[rows[:, :, None], matrix[None, :, :]]
+    out = prods[:, 0]
+    for j in range(1, prods.shape[1]):
+        out = field.ADD[out, prods[:, j]]
+    return out

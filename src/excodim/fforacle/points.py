@@ -82,9 +82,10 @@ class PointProbe:
 
 
 def projective_dim_points(generators, field: Field | None = None, r: int | None = None,
-                          m_max: int = 3, max_points: int = MAX_POINTS) -> PointProbe:
+                          m_max: int = 3) -> PointProbe:
     """Declare the common vanishing locus positive-dimensional when its point
-    count over some extension exceeds the degree-product cutoff."""
+    count over some extension exceeds the degree-product cutoff.  Only the
+    extensions of at most MAX_POINTS projective points are counted."""
     if m_max < 1 or m_max > 3:
         raise ParameterError(f"need 1 <= m_max <= 3, got {m_max}")
     field, r = _ring_of(generators, field, r)
@@ -96,7 +97,7 @@ def projective_dim_points(generators, field: Field | None = None, r: int | None 
     counts = []
     for m in range(1, m_max + 1):
         q_m = field.q**m
-        if count_projective_points(q_m, r) > max_points:
+        if count_projective_points(q_m, r) > MAX_POINTS:
             break
         try:
             ext, emb = field.extension(m)

@@ -167,28 +167,6 @@ class MultiPoly:
             out[j] = f.ADD[out[j], f.MUL[code, scalar]]
         return MultiPoly(f, self.r, self.d - 1, out)
 
-    # -- integer encoding of the whole coefficient space -----------------------
-
-    def encode(self) -> int:
-        """Little-endian base-q integer encoding of the coefficient vector."""
-        code = 0
-        q = self.field.q
-        for c in reversed(self.coeffs.tolist()):
-            code = code * q + int(c)
-        return code
-
-    @classmethod
-    def decode(cls, field: Field, r: int, d: int, code: int) -> "MultiPoly":
-        n = n_monomials(r, d)
-        coeffs = np.zeros(n, dtype=np.uint16)
-        q = field.q
-        for i in range(n):
-            code, c = divmod(code, q)
-            coeffs[i] = c
-        if code:
-            raise ParameterError("encoded integer out of range")
-        return cls(field, r, d, coeffs)
-
 
 def poly_to_line(poly: MultiPoly) -> str:
     """Exchange format: 'p e r d : c_0 c_1 ...' with graded-lex coefficients

@@ -21,6 +21,7 @@ from excodim.strata import (
     worked_example,
 )
 from excodim.fforacle.experiments import (
+    _all_coeff_rows,
     excess_experiment,
     poonen_combine,
     restriction_codim,
@@ -218,11 +219,12 @@ def test_criterion_10_invariant_suites():
     # fudge-factor recombination is exactly uniform on the smallest case
     field = gf(2)
     counts: dict[bytes, int] = {}
-    for gcode in range(2**4):
-        base = MultiPoly.decode(field, 1, 3, gcode)
-        for f0 in range(4):
-            for f1 in range(4):
-                fudge = (MultiPoly.decode(field, 1, 1, f0), MultiPoly.decode(field, 1, 1, f1))
+    linear = _all_coeff_rows(2, 2)
+    for row in _all_coeff_rows(2, 4):
+        base = MultiPoly(field, 1, 3, row)
+        for f0 in linear:
+            for f1 in linear:
+                fudge = (MultiPoly(field, 1, 1, f0), MultiPoly(field, 1, 1, f1))
                 key = poonen_combine(base, fudge).coeffs.tobytes()
                 counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 16 and set(counts.values()) == {16}

@@ -163,6 +163,13 @@ def test_argument_errors_exit_2(capsys):
      "--trials", "0"),
     ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--threads", "2"),
     ("oracle", "singular", "--r", "2", "--ell", "3", "--threads", "2"),
+    # every crosscheck sample is over budget here, so no point probe runs
+    ("oracle", "excess", "--r", "4", "--degrees", "2,2", "--trials", "300", "--m-max", "9"),
+    ("oracle", "excess", "--r", "2", "--degrees", "2,2", "--trials", "300", "--m-max", "0"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--seed", "-1"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--seed", str(2**63)),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--seed", str(2**64)),
+    ("oracle", "singular", "--r", "3", "--ell", "3", "--seed", str(2**64)),
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -259,6 +266,14 @@ def test_oracle_is_reachable_from_the_package():
     proc = run_fresh(["-c", code])
     assert proc.stdout.splitlines() == ["True 2 True"]
     assert "AttributeError: module 'excodim' has no attribute 'no_such_name'" in proc.stderr
+
+
+def test_every_exported_name_resolves():
+    import excodim
+    from excodim import fforacle
+
+    for module in (excodim, fforacle):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 THREADS = (

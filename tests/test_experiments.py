@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from itertools import product
 
 import numpy as np
@@ -12,10 +13,10 @@ from excodim.fforacle import experiments
 from excodim.fforacle.experiments import (
     CHUNK,
     DEFAULT_SEED,
+    _all_coeff_rows,
     _chunk_rng,
     _scalar_representatives,
     _singular_generators,
-    common_zero_dim,
     excess_experiment,
     poonen_combine,
     poonen_sample,
@@ -26,6 +27,7 @@ from excodim.fforacle.experiments import (
 )
 from excodim.fforacle.fields import gf, parse_field
 from excodim.fforacle.hilbert import batch_dim_at_least, dim_at_least, projective_dim_hilbert
+from excodim.fforacle.linalg import matrix_rank
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line
 
@@ -64,8 +66,8 @@ def test_excess_sampled_linear_matches_row_by_row():
     for chunk, n in enumerate((CHUNK, trials - CHUNK)):
         rows = _chunk_rng(seed, chunk).integers(0, 3, size=(n, 12), dtype=np.uint16)
         for row in rows:
-            gens = [MultiPoly(field, r, 1, row[4 * i:4 * i + 4]) for i in range(3)]
-            hits += common_zero_dim(gens, field, r) >= 1
+            # a linear tuple cuts out a linear space of dimension r - rank
+            hits += r - matrix_rank(field, row.reshape(3, 4)) >= 1
     assert res.hits == hits
 
 
@@ -114,13 +116,35 @@ def test_excess_budget_guards():
             singular_experiment(2, 3, gf(2), mode="sampled", trials=trials)
 
 
-def test_common_zero_dim_linear_fast_path_matches_detector():
+def test_bad_mode_seed_and_m_max_raise_before_any_work():
+    # the marked set for ell = 7 is over budget, and ell = 6 takes a while to
+    # build: a bad mode must be rejected before either
+    for r, ell in ((2, 7), (2, 6), (3, 3)):
+        with pytest.raises(ParameterError, match="unknown mode 'bogus'"):
+            singular_experiment(r, ell, gf(2), mode="bogus")
+    with pytest.raises(ParameterError, match="unknown mode 'bogus'"):
+        excess_experiment(2, (2, 2), 1, gf(2), mode="bogus")
+    for seed in (-1, 2**63, 2**64):
+        with pytest.raises(ParameterError, match="seed"):
+            excess_experiment(2, (1, 1), 1, gf(2), seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            singular_experiment(2, 3, gf(2), seed=seed)
+    for m_max in (0, 4, 9):
+        with pytest.raises(ParameterError, match="m_max"):
+            excess_experiment(4, (2, 2), 1, gf(2), mode="sampled", trials=300, m_max=m_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=50, seed=2**63 - 1)
+    assert res.trials == 50
+
+
+def test_linear_rank_dimension_matches_detector():
     field = gf(3)
     rng = np.random.default_rng(44)
     for _ in range(40):
         k = int(rng.integers(1, 4))
         gens = [MultiPoly.random(field, 2, 1, rng) for _ in range(k)]
-        fast = common_zero_dim(gens, field, 2)
+        fast = 2 - matrix_rank(field, np.stack([g.coeffs for g in gens]))
         slow = projective_dim_hilbert(gens, field=field, r=2) if any(
             not g.is_zero for g in gens
         ) else 2
@@ -151,10 +175,9 @@ def test_repeated_factor_set_is_exactly_positive_singular_locus():
     # full-space agreement between the marked set and the rank detector
     field = gf(2)
     marked = repeated_factor_keys(field, 2, 3)
-    n = n_monomials(2, 3)
     hits = 0
-    for code in range(2**n):
-        F = MultiPoly.decode(field, 2, 3, code)
+    for row in _all_coeff_rows(2, n_monomials(2, 3)):
+        F = MultiPoly(field, 2, 3, row)
         in_marked = F.coeffs.tobytes() in marked
         if F.is_zero:
             assert in_marked
@@ -164,6 +187,11 @@ def test_repeated_factor_set_is_exactly_positive_singular_locus():
         assert positive == in_marked
         hits += 1 if positive else 0
     assert hits == len(marked)
+    # the set sizes in the plane, over the prime and the extension fields
+    sizes = {(2, 3): 50, (2, 4): 456, (2, 5): 7260, (2, 6): 230736,
+             (4, 3): 1324, (4, 4): 88768, (8, 3): 37304}
+    for (q, ell), size in sizes.items():
+        assert len(repeated_factor_keys(parse_field(str(q)), 2, ell)) == size
 
 
 def test_singular_exhaustive_small():
@@ -180,11 +208,11 @@ def test_line_component_dominates_in_the_plane():
     for ell in (4, 5):
         marked = repeated_factor_keys(field, 2, ell)
         line_keys = set()
-        ng = n_monomials(2, ell - 2)
+        all_g = _all_coeff_rows(2, n_monomials(2, ell - 2))
         for H in _scalar_representatives(field, 2, 1):
             H2 = H * H
-            for gcode in range(2**ng):
-                G = MultiPoly.decode(field, 2, ell - 2, gcode)
+            for row in all_g:
+                G = MultiPoly(field, 2, ell - 2, row)
                 line_keys.add((H2 * G).coeffs.tobytes())
         assert line_keys <= marked
         assert len(line_keys) / len(marked) > 0.9
@@ -259,8 +287,8 @@ def test_poonen_shift_is_bijective():
     rng = np.random.default_rng(8)
     fudge = tuple(MultiPoly.random(field, 1, 1, rng) for _ in range(2))
     seen = set()
-    for code in range(2**4):
-        base = MultiPoly.decode(field, 1, 3, code)
+    for row in _all_coeff_rows(2, 4):
+        base = MultiPoly(field, 1, 3, row)
         seen.add(poonen_combine(base, fudge).coeffs.tobytes())
     assert len(seen) == 2**4
 
@@ -269,14 +297,12 @@ def test_poonen_uniformity_exhaustive():
     # every output form is reached equally often over all (G, G_0, G_1)
     field = gf(2)
     counts: dict[bytes, int] = {}
-    for gcode in range(2**4):
-        base = MultiPoly.decode(field, 1, 3, gcode)
-        for f0 in range(2**2):
-            for f1 in range(2**2):
-                fudge = (
-                    MultiPoly.decode(field, 1, 1, f0),
-                    MultiPoly.decode(field, 1, 1, f1),
-                )
+    linear = _all_coeff_rows(2, 2)
+    for row in _all_coeff_rows(2, 4):
+        base = MultiPoly(field, 1, 3, row)
+        for f0 in linear:
+            for f1 in linear:
+                fudge = (MultiPoly(field, 1, 1, f0), MultiPoly(field, 1, 1, f1))
                 key = poonen_combine(base, fudge).coeffs.tobytes()
                 counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 2**4
@@ -358,7 +384,7 @@ def test_crosscheck_failure_names_nonlinear_sample(monkeypatch, r, degrees):
 def wrong_reference_from(first_wrong: int, r: int):
     """A batched Hilbert reference that turns wrong from the checked sample
     with index first_wrong on: dimensions >= 1 become -1, the rest r."""
-    real = experiments.batch_projective_dim_hilbert_or_none
+    real = experiments.batch_projective_dim_hilbert
 
     def wrong(samples, *a, **kw):
         dims = real(samples, *a, **kw)
@@ -373,7 +399,7 @@ def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
     field, r, trials, seed = gf(3), 3, CHUNK + 904, 12
     every = trials // experiments.CROSSCHECK_SAMPLES
     checks_in_chunk0 = -(-CHUNK // every)
-    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert_or_none",
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert",
                         wrong_reference_from(checks_in_chunk0, r))
     with pytest.raises(InvariantError) as err:
         excess_experiment(r, (1, 1, 1), 1, field, mode="sampled", trials=trials, seed=seed)
@@ -382,14 +408,14 @@ def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
     rows = _chunk_rng(seed, 1).integers(0, 3, size=(trials - CHUNK, 12), dtype=np.uint16)
     row = rows[checks_in_chunk0 * every - CHUNK]
     assert [g.coeffs.tolist() for g in gens] == [row[4 * i:4 * i + 4].tolist() for i in range(3)]
-    assert (projective_dim_hilbert(gens) >= 1) == (common_zero_dim(gens, field, r) >= 1)
+    assert (projective_dim_hilbert(gens) >= 1) == (r - matrix_rank(field, row.reshape(3, 4)) >= 1)
 
 
 def test_crosscheck_failure_names_a_later_chunk(monkeypatch):
     # 13 chunks of 16 nonlinear tuples, checked every 4th sample; the
     # reference turns wrong at the 10th check, in chunk 2
     monkeypatch.setattr(experiments, "CHUNK", 16)
-    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert_or_none",
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert",
                         wrong_reference_from(9, 2))
     with pytest.raises(InvariantError) as err:
         excess_experiment(2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8)

@@ -41,20 +41,21 @@ def test_ternary_axioms(p, e):
 @pytest.mark.parametrize("p,e", ALL_FIELDS)
 def test_frobenius_is_pth_power(p, e):
     f = gf(p, e)
+    frob = f.pow_table(p)[:, p]
     for x in range(f.q):
         power = f.one
         for _ in range(p):
             power = int(f.MUL[power, x])
-        assert int(f.FROB[x]) == power
+        assert int(frob[x]) == power
     # Frobenius is additive
     i = np.arange(f.q)
     ga, gb = np.meshgrid(i, i, indexing="ij")
-    assert np.array_equal(f.FROB[f.ADD[ga, gb]], f.ADD[f.FROB[ga], f.FROB[gb]])
+    assert np.array_equal(frob[f.ADD[ga, gb]], f.ADD[frob[ga], frob[gb]])
 
 
 def test_char2_squaring_facts():
     f2 = gf(2)
-    assert np.array_equal(f2.FROB, np.array([0, 1], dtype=f2.FROB.dtype))
+    assert np.array_equal(f2.pow_table(2)[:, 2], np.array([0, 1], dtype=np.uint16))
     f4 = gf(2, 2)
     for x in range(1, 4):
         assert int(f4.MUL[x, f4.INV[x]]) == f4.one

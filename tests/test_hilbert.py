@@ -8,12 +8,11 @@ from excodim.fforacle import hilbert
 from excodim.fforacle.experiments import singular_experiment
 from excodim.fforacle.fields import gf
 from excodim.fforacle.hilbert import (
-    GradedIdealPiece,
     batch_dim_at_least,
     batch_projective_dim_hilbert,
-    batch_projective_dim_hilbert_or_none,
     dim_at_least,
     hilbert_function,
+    macaulay_stack,
     projective_dim_hilbert,
     section_field,
 )
@@ -97,15 +96,16 @@ def test_graded_piece_rank_bound():
     rng = np.random.default_rng(17)
     for _ in range(10):
         gens = [MultiPoly.random(f, 2, 2, rng), MultiPoly.random(f, 2, 3, rng)]
-        piece = GradedIdealPiece(gens, 5)
-        assert piece.rank() <= n_monomials(2, 5)
+        # the piece's rank is n_monomials(2, 5) minus the Hilbert function
+        assert 0 <= hilbert_function(gens, 5) <= n_monomials(2, 5)
 
 
-def test_matrix_budget():
+def test_matrix_budget(monkeypatch):
     f = gf(2)
     gens = [MultiPoly.variable(f, 3, 0)]
-    with pytest.raises(BudgetError):
-        hilbert_function(gens, 30, max_entries=100)
+    monkeypatch.setattr(hilbert, "MAX_MATRIX_ENTRIES", 100)
+    with pytest.raises(BudgetError, match=r"degree-30 piece needs a 4960x5456 matrix"):
+        hilbert_function(gens, 30)
 
 
 def test_mixed_rings_rejected():
@@ -288,10 +288,14 @@ def test_scatter_built_piece_matches_loop_build(spec, r):
         for degrees in ((1,), (2, 1), (3, 2, 2), (1, 4)):
             gens = [MultiPoly.random(field, r, d, rng) for d in degrees]
             gens.append(MultiPoly.zero(field, r, 1))
-            piece = GradedIdealPiece(gens, t)
+            # the live generators, as the experiments and hilbert_function
+            # pass them
+            live = [g for g in gens if not g.is_zero]
+            matrix = macaulay_stack(1, r, t, [g.d for g in live],
+                                    [g.coeffs[None] for g in live])[0]
             expected = loop_built_matrix(gens, t, field, r)
-            assert piece.matrix.dtype == np.uint16
-            assert np.array_equal(piece.matrix, expected)
+            assert matrix.dtype == np.uint16
+            assert np.array_equal(matrix, expected)
 
 
 def window_dim(gens, field, r):
@@ -354,9 +358,11 @@ def test_batched_windows_split_into_small_stacks(monkeypatch):
     field = gf(3)
     rng = np.random.default_rng(8)
     samples = [[MultiPoly.random(field, 2, 1, rng) for _ in range(2)] for _ in range(12)]
-    assert (batch_projective_dim_hilbert(samples, max_entries=4000)
-            == batch_projective_dim_hilbert(samples)
-            == [window_dim(g, field, 2) for g in samples])
+    with monkeypatch.context() as patch:
+        patch.setattr(hilbert, "MAX_MATRIX_ENTRIES", 4000)
+        small = batch_projective_dim_hilbert(samples)
+    assert small == batch_projective_dim_hilbert(samples) == [window_dim(g, field, 2)
+                                                              for g in samples]
     # under the 4M-entry budget a full chunk of singular sections, 4096
     # stacked 24 x 15 matrices, is ranked in stacks of at most 2^20 entries
     sizes = []
@@ -371,20 +377,21 @@ def test_batched_reference_gives_none_over_budget():
     # linear form stays within the budget
     f = gf(2)
     x = [MultiPoly.variable(f, 4, i) for i in range(5)]
-    assert batch_projective_dim_hilbert_or_none([x[:3], [x[0]], x[1:4]]) == [None, 3, None]
-    assert batch_projective_dim_hilbert_or_none([]) == []
+    assert batch_projective_dim_hilbert([x[:3], [x[0]], x[1:4]]) == [None, 3, None]
+    assert batch_projective_dim_hilbert([]) == []
     with pytest.raises(BudgetError, match=r"degree-11 piece needs a 3003x1365 matrix"):
-        batch_projective_dim_hilbert([[x[0]], x[:3]])
+        projective_dim_hilbert(x[:3])
 
 
-def test_batched_budget_error_names_the_first_sample():
+def test_budget_error_names_the_sample(monkeypatch):
     f = gf(2)
     line, conic = MultiPoly.variable(f, 2, 0), MultiPoly.variable(f, 2, 1).square()
-    with pytest.raises(BudgetError, match=r"degrees \[2\]"):
-        batch_projective_dim_hilbert([[conic], [line]], max_steps=3)
+    monkeypatch.setattr(hilbert, "MAX_WINDOW_STEPS", 3)
+    assert batch_projective_dim_hilbert([[conic], [line]]) == [None, None]
+    with pytest.raises(BudgetError, match=r"within 3 steps \(generators of degrees \[2\]\)"):
+        projective_dim_hilbert([conic])
     with pytest.raises(BudgetError, match=r"degrees \[1\]"):
-        batch_projective_dim_hilbert([[line], [conic]], max_steps=3)
-    assert batch_projective_dim_hilbert([]) == []
+        projective_dim_hilbert([line])
     assert batch_dim_at_least([], 1).tolist() == []
     with pytest.raises(ParameterError):
         batch_dim_at_least([[line], [MultiPoly.variable(gf(3), 2, 0)]], 1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from excodim.errors import BudgetError
+from excodim.fforacle import points
 from excodim.fforacle.fields import gf
 from excodim.fforacle.hilbert import projective_dim_hilbert
 from excodim.fforacle.points import (
@@ -81,12 +82,11 @@ def test_empty_generator_set_is_whole_space():
     assert probe.positive_dimensional and probe.conclusive
 
 
-def test_point_budget():
+def test_point_budget(monkeypatch):
     field = gf(7)
+    monkeypatch.setattr(points, "MAX_POINTS", 10)
     with pytest.raises(BudgetError):
-        projective_dim_points(
-            [MultiPoly.variable(field, 5, 0)], m_max=3, max_points=10
-        )
+        projective_dim_points([MultiPoly.variable(field, 5, 0)], m_max=3)
 
 
 def test_extension_counts_grow_like_q():

@@ -116,14 +116,6 @@ def test_serialization_round_trip_extension_field():
     assert poly_to_line(again) == line
 
 
-def test_encode_decode_round_trip():
-    f = gf(3)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        F = MultiPoly.random(f, 2, 2, rng)
-        assert MultiPoly.decode(f, 2, 2, F.encode()) == F
-
-
 def test_zero_polynomial_is_valid():
     f = gf(2)
     z = MultiPoly.zero(f, 3, 4)
