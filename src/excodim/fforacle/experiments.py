@@ -8,11 +8,12 @@ only on the seed and configuration.
 
 The experiments run their chunks one after another.  A chunk's samples
 form one (n, coefficients) block, decoded from the tuple indices in
-exhaustive mode or drawn from the chunk's stream in sampled mode.  Linear
-excess tuples are ranked as one (n, k, r + 1) stack by ``batch_rank``.
-Every other sample, nonlinear tuples and the forms F, dF/dX_0, ..., dF/dX_r
-of the singular experiment beyond the plane, is decided by the
-linear-section test, one ``batch_dim_at_least`` call per chunk.  A plane
+exhaustive mode or drawn from the chunk's stream in sampled mode; no chunk
+loop builds a ``MultiPoly`` per sample.  Linear excess tuples are ranked as
+one (n, k, r + 1) stack by ``batch_rank``.  Every other block is decided by
+the linear-section test, one ``batch_dim_at_least`` call per chunk: a
+nonlinear excess block as drawn, and beyond the plane the singular block
+[F | dF/dX_0 | ... | dF/dX_r], its partials taken by ``partial_rows``.  A plane
 curve is looked up in the exact set of forms with a repeated factor, built
 by ``repeated_factor_keys`` with one ``rows_times`` product per square H^2
 that multiplies every cofactor G at once.
@@ -29,8 +30,9 @@ In an excess run about CROSSCHECK_SAMPLES evenly spaced samples are also
 checked against two independent detectors: the Hilbert-window dimension
 must give the same decision dim >= r - k + a, and a conclusive point count
 must be matched by a positive Hilbert dimension.  One
-``batch_projective_dim_hilbert`` call after the last chunk gives all their
-dimensions; the samples are then compared in sample order.  A failed
+``batch_projective_dim_hilbert`` call after the last chunk, on the block of
+their rows, gives all their dimensions; the samples are then compared in
+sample order.  A failed
 check raises ``InvariantError`` naming the first failing sample as
 ``poly_to_line`` lines with its seed and chunk, so it can be replayed.  The
 window of a sample can go over the matrix budget (from r = 4 on it mostly
@@ -57,13 +59,14 @@ from .fields import Field, gf
 from .hilbert import (
     batch_dim_at_least,
     batch_projective_dim_hilbert,
+    check_seed,
     macaulay_stack,
     projective_dim_hilbert,
     restriction_map,
 )
 from .linalg import batch_rank, matrix_rank, rows_times
 from .points import projective_dim_points
-from .polynomials import MultiPoly, n_monomials, poly_to_line
+from .polynomials import MultiPoly, n_monomials, partial_rows, poly_to_line
 
 DEFAULT_SEED = 271828
 CHUNK = 4096
@@ -94,33 +97,6 @@ class ExperimentResult:
     a: int | None = None
     crosscheck_skipped: int = 0  # crosscheck samples whose Hilbert window is over budget
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "q": self.q,
-            "r": self.r,
-            "degrees": list(self.degrees) if self.degrees is not None else None,
-            "ell": self.ell,
-            "a": self.a,
-            "mode": self.mode,
-            "trials": self.trials,
-            "hits": self.hits,
-            "seed": self.seed,
-            "est_codim": self.est_codim,
-            "predicted_codim": self.predicted_codim,
-            "status": self.status,
-            "runtime_s": self.runtime_s,
-            "crosscheck_skipped": self.crosscheck_skipped,
-        }
-
-    def key(self) -> tuple:
-        """Everything except the wall-clock runtime, for determinism checks."""
-        return (
-            self.kind, self.q, self.r, self.degrees, self.ell, self.a,
-            self.mode, self.trials, self.hits, self.seed,
-            self.est_codim, self.predicted_codim, self.status, self.crosscheck_skipped,
-        )
-
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
@@ -138,8 +114,7 @@ def _check_run(mode: str, trials: int | None, seed: int):
         raise ParameterError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
-    if not 0 <= seed < 2**63:  # a Philox key word
-        raise ParameterError(f"need 0 <= seed < 2**63, got {seed}")
+    check_seed(seed)
 
 
 def _estimate(hits: int, trials: int, q: int) -> tuple[float | None, str]:
@@ -219,17 +194,9 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     elif trials is None:
         trials = 20_000
 
-    def decode_tuple(coeff_row) -> list[MultiPoly]:
-        gens = []
-        pos = 0
-        for d, n in zip(degrees, dims):
-            gens.append(MultiPoly(field, r, d, coeff_row[pos:pos + n]))
-            pos += n
-        return gens
-
     check_every = max(1, trials // CROSSCHECK_SAMPLES)
     hits = 0
-    checked = []  # (generators, decision, chunk) of the samples due a crosscheck
+    checked = []  # (coefficient row, decision, chunk) of the samples due a crosscheck
     for chunk, lo, n in _chunks(trials):
         if mode == "exhaustive":
             # tuple idx has the base-q digits of idx as its coefficients
@@ -242,16 +209,18 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
             # linear space of projective dimension r - rank
             hit = r - batch_rank(field, block.reshape(n, k, r + 1)) >= threshold
         else:
-            hit = batch_dim_at_least([decode_tuple(row) for row in block], threshold, field,
-                                     r, seed)
+            hit = batch_dim_at_least(field, r, degrees, block, threshold, seed)
         hits += int(np.count_nonzero(hit))
-        checked.extend((decode_tuple(block[i]), bool(hit[i]), chunk)
+        checked.extend((block[i], bool(hit[i]), chunk)
                        for i in range((-lo) % check_every, n, check_every))
     # one batched reference over every checked sample, compared in sample
     # order, so the first disagreeing sample is the one named
-    hil_dims = batch_projective_dim_hilbert([gens for gens, _, _ in checked], field, r)
-    for (gens, hit, chunk), hil in zip(checked, hil_dims):
+    hil_dims = batch_projective_dim_hilbert(field, r, degrees,
+                                            np.array([row for row, _, _ in checked]))
+    ends = np.cumsum(dims)[:-1]  # where each form's coefficients end in a row
+    for (row, hit, chunk), hil in zip(checked, hil_dims):
         if hil is not None:  # None: its window is over budget
+            gens = [MultiPoly(field, r, d, c) for d, c in zip(degrees, np.split(row, ends))]
             _crosscheck_sample(gens, threshold, hit, hil, m_max, seed, chunk)
 
     est, status = _estimate(hits, trials, q)
@@ -382,11 +351,12 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
         # Euler's relation puts F in the ideal of its partials unless the
         # characteristic divides ell; F is then left out
         skip = 1 if ell % field.p else 0
+        degrees = ([ell] + [ell - 1] * (r + 1))[skip:]
         for chunk, _, m in _chunks(trials):
             rows = _chunk_rng(seed, chunk).integers(0, q, size=(m, n), dtype=np.uint16)
-            samples = [_singular_generators(MultiPoly(field, r, ell, row))[skip:]
-                       for row in rows]
-            hits += int(np.count_nonzero(batch_dim_at_least(samples, 1, field, r, seed)))
+            forms = [rows] + [partial_rows(field, r, ell, i, rows) for i in range(r + 1)]
+            block = np.concatenate(forms[skip:], axis=1)
+            hits += int(np.count_nonzero(batch_dim_at_least(field, r, degrees, block, 1, seed)))
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(
@@ -473,6 +443,7 @@ def poonen_sample(r: int, ell: int, field: Field, seed: int = DEFAULT_SEED) -> P
         dg = (ell - 1) // 2
     else:
         dg = ell // 2 - 1
+    check_seed(seed)
     rng = _chunk_rng(seed, 0)
     base = MultiPoly.random(field, r, ell, rng)
     fudge = tuple(MultiPoly.random(field, r, dg, rng) for _ in range(r + 1))
@@ -490,4 +461,5 @@ def restriction_codim(r: int, d: int, b: int, field: Field | None = None,
         raise ParameterError(f"need 0 <= b <= r, got b={b}, r={r}")
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
+    check_seed(seed)
     return matrix_rank(field, restriction_map(field, r, b, seed, 0, d))

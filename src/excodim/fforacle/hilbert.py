@@ -40,10 +40,12 @@ is stable.  The window start is a heuristic, not a regularity bound, and the
 matrices are large; it serves as the independent reference that the
 experiments cross-check the section test against, not as a per-sample test.
 
-Both tests take whole lists of samples through ``batch_dim_at_least`` and
-``batch_projective_dim_hilbert``; the single-sample functions are the same
-code on a list of one.  Samples are grouped by the degrees of their live
-generators, and each group advances through its planes or its window degrees
+Both tests take a batch of n samples through ``batch_dim_at_least`` and
+``batch_projective_dim_hilbert`` as one block: an (n, sum_j C(r + d_j, r))
+array of coefficient codes, row i holding the forms of sample i, of degrees
+d_j, one after another.  The single-sample functions run their list of
+forms as a block of one.  Rows are grouped by which of their forms are
+nonzero, and each group advances through its planes or its window degrees
 in lockstep, one Macaulay stack per step.  A sample leaves its group once it
 is decided.  A window that needs more than MAX_WINDOW_STEPS degrees, or a
 piece over the matrix budget, puts its sample over budget:
@@ -80,10 +82,6 @@ SECTION_TRIES = 4
 SECTION_FIELD_MIN = 64
 PLANE_STREAM = 2**32  # plane k is drawn from the Philox key [seed, PLANE_STREAM + k]
 MAX_PLANE_DRAWS = 64
-
-
-def _live_generators(generators) -> list[MultiPoly]:
-    return [g for g in generators if not g.is_zero]
 
 
 def _ring_of(generators, field, r):
@@ -169,31 +167,49 @@ def hilbert_function(generators, t: int, field: Field | None = None,
     if t < 0:
         raise ParameterError(f"need t >= 0, got {t}")
     field, r = _ring_of(generators, field, r)
-    gens = [g for g in _live_generators(generators) if g.d <= t]
+    gens = [g for g in generators if not g.is_zero and g.d <= t]
     if not gens:
         return n_monomials(r, t)
     rank = _piece_ranks(field, r, t, [g.d for g in gens], [g.coeffs[None] for g in gens])
     return n_monomials(r, t) - int(rank[0])
 
 
-def _ring_of_samples(samples, field, r):
-    rings = {_ring_of(sample, field, r) for sample in samples}
-    if len(rings) > 1:
-        raise ParameterError("samples live over different rings")
-    return rings.pop()
+def check_seed(seed: int):
+    """A seed is one word of a Philox key."""
+    if not 0 <= seed < 2**63:
+        raise ParameterError(f"need 0 <= seed < 2**63, got {seed}")
 
 
-def _signature_groups(samples):
-    """The samples grouped by the degrees of their live generators, in
-    order.  Yields (degrees, sample indices, coefficient stacks), with one
-    (n, n_monomials(r, d)) stack per generator position."""
-    lives = [_live_generators(sample) for sample in samples]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, live in enumerate(lives):
-        groups.setdefault(tuple(g.d for g in live), []).append(i)
-    for degrees, members in groups.items():
-        coeffs = [np.stack([lives[i][j].coeffs for i in members]) for j in range(len(degrees))]
-        yield degrees, np.array(members), coeffs
+def _live_groups(field: Field, r: int, degrees, block) -> list:
+    """The rows of a block grouped by which of their forms are nonzero, as
+    (degrees of the live forms, row indices, one coefficient stack per live
+    form)."""
+    widths = [n_monomials(r, d) for d in degrees]
+    block = np.asarray(block)
+    if block.ndim != 2 or block.shape[1] != sum(widths):
+        raise ParameterError(f"need an (n, {sum(widths)}) block, got shape {block.shape}")
+    if block.size and (block.min() < 0 or block.max() >= field.q):
+        raise ParameterError("coefficient code out of range")
+    stacks = np.split(block.astype(np.uint16, copy=False), np.cumsum(widths)[:-1], axis=1)
+    live = np.zeros((len(block), len(stacks)), dtype=bool)
+    for j, c in enumerate(stacks):
+        live[:, j] = c.any(axis=1)
+    patterns, group = np.unique(live, axis=0, return_inverse=True)
+    groups = []
+    for j, pattern in enumerate(patterns):
+        members = np.flatnonzero(group.reshape(-1) == j)
+        forms = np.flatnonzero(pattern)
+        groups.append(([degrees[f] for f in forms], members,
+                       [stacks[f][members] for f in forms]))
+    return groups
+
+
+def _as_block(generators, field, r):
+    """A list of forms as a block of one sample: (field, r, degrees, block)."""
+    gens = list(generators)
+    field, r = _ring_of(gens, field, r)
+    row = np.concatenate([np.zeros(0, dtype=np.uint16)] + [g.coeffs for g in gens])
+    return field, r, [g.d for g in gens], row[None]
 
 
 def _tail_degree(values) -> int | None:
@@ -226,23 +242,20 @@ def _stable_dim(values: list[int], estimates: list, r: int) -> int | None:
     return None
 
 
-def _window_dims(samples, field, r) -> tuple[list[int], dict[int, BudgetError]]:
-    """Window dimensions of a list of samples, and the BudgetError of each
-    sample index whose window goes over a budget (its dimension is then
-    meaningless).
+def _window_dims(field: Field, r: int, degrees,
+                 block) -> tuple[list[int], dict[int, BudgetError]]:
+    """Window dimensions of the rows of a block, and the BudgetError of each
+    row whose window goes over a budget (its dimension is then meaningless).
 
-    Samples whose live generators have the same degrees share every window
-    degree, so each such group advances its windows in lockstep, with one
-    stack of Macaulay matrices per degree t; a sample leaves its group once
-    its estimate is stable.
+    Rows with the same live forms share every window degree, so each such
+    group advances its windows in lockstep, with one stack of Macaulay
+    matrices per degree t; a row leaves its group once its estimate is
+    stable.
     """
-    samples = [list(sample) for sample in samples]
-    if not samples:
-        return [], {}
-    field, r = _ring_of_samples(samples, field, r)
-    dims = [r] * len(samples)  # no live generator: the whole space
+    groups = _live_groups(field, r, degrees, block)
+    dims = [r] * len(block)  # no live generator: the whole space
     errors: dict[int, BudgetError] = {}
-    for degrees, members, coeffs in _signature_groups(samples):
+    for degrees, members, coeffs in groups:
         if not degrees:
             continue
         t0 = sum(d - 1 for d in degrees) + 1
@@ -285,11 +298,10 @@ def _window_dims(samples, field, r) -> tuple[list[int], dict[int, BudgetError]]:
     return dims, errors
 
 
-def batch_projective_dim_hilbert(samples, field: Field | None = None,
-                                 r: int | None = None) -> list[int | None]:
-    """``projective_dim_hilbert`` of every sample, a list of generators each,
-    with None for each sample whose window goes over a budget."""
-    dims, errors = _window_dims(samples, field, r)
+def batch_projective_dim_hilbert(field: Field, r: int, degrees, block) -> list[int | None]:
+    """``projective_dim_hilbert`` of every row of a block, with None for each
+    row whose window goes over a budget."""
+    dims, errors = _window_dims(field, r, degrees, block)
     return [None if i in errors else dim for i, dim in enumerate(dims)]
 
 
@@ -302,7 +314,7 @@ def projective_dim_hilbert(generators, field: Field | None = None,
     polynomial degree agrees across r + 2 consecutive window ends.  A window
     over budget raises its BudgetError.
     """
-    dims, errors = _window_dims([generators], field, r)
+    dims, errors = _window_dims(*_as_block(generators, field, r))
     if errors:
         raise errors[0]
     return dims[0]
@@ -358,26 +370,23 @@ def restriction_map(field: Field, r: int, b: int, seed: int, k: int, d: int) -> 
     return rmap
 
 
-def batch_dim_at_least(samples, s: int, field: Field | None = None, r: int | None = None,
+def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
                        seed: int = 0) -> np.ndarray:
-    """``dim_at_least`` of every sample, a list of generators each, as a
-    bool array.
+    """``dim_at_least`` of every row of a block, as a bool array.
 
-    Samples whose live generators have the same degrees share t and the
-    planes, so each such group is restricted and ranked as one stack per
-    plane; a sample leaves its group at its first empty section.
+    Rows with the same live forms share t and the planes, so each such group
+    is restricted and ranked as one stack per plane; a row leaves its group
+    at its first empty section.
     """
     if s < 0:
         raise ParameterError(f"need s >= 0, got {s}")
-    samples = [list(sample) for sample in samples]
-    hit = np.ones(len(samples), dtype=bool)
-    if not samples:
-        return hit
-    field, r = _ring_of_samples(samples, field, r)
+    check_seed(seed)
+    groups = _live_groups(field, r, degrees, block)
+    hit = np.ones(len(block), dtype=bool)
     if s > r:
         return ~hit
     b = r - s
-    for degrees, members, coeffs in _signature_groups(samples):
+    for degrees, members, coeffs in groups:
         if len(degrees) <= b:
             continue  # fewer than b + 1 live forms: certified in
         t = sum(sorted((d - 1 for d in degrees), reverse=True)[: b + 1]) + 1
@@ -404,4 +413,5 @@ def dim_at_least(generators, s: int, field: Field | None = None, r: int | None =
     otherwise (see the module docstring).  The planes depend only on the
     field, r, s and the seed.
     """
-    return bool(batch_dim_at_least([generators], s, field, r, seed)[0])
+    field, r, degrees, block = _as_block(generators, field, r)
+    return bool(batch_dim_at_least(field, r, degrees, block, s, seed)[0])

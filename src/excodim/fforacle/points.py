@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import BudgetError, ParameterError
 from .fields import Field
-from .hilbert import _live_generators, _ring_of
+from .hilbert import _ring_of
 from .polynomials import MultiPoly
 
 MAX_POINTS = 300_000
@@ -89,7 +89,7 @@ def projective_dim_points(generators, field: Field | None = None, r: int | None 
     if m_max < 1 or m_max > 3:
         raise ParameterError(f"need 1 <= m_max <= 3, got {m_max}")
     field, r = _ring_of(generators, field, r)
-    gens = _live_generators(generators)
+    gens = [g for g in generators if not g.is_zero]
     if not gens:
         return PointProbe(r >= 1, True, 1, ())
 

@@ -4,6 +4,9 @@ A polynomial of degree d in the r+1 variables X_0..X_r is a coefficient
 vector indexed by the graded-lex monomial order with X_0 > X_1 > ... > X_r;
 within a fixed total degree that is plain lex, descending in the exponent of
 X_0 first.  This order is fixed for all serialization.
+
+``partial_rows`` differentiates a whole array of such vectors by one cached
+gather on its last axis; ``MultiPoly.partial`` is that gather on one form.
 """
 
 from __future__ import annotations
@@ -41,6 +44,30 @@ def monomial_index(r: int, d: int) -> dict:
 
 def n_monomials(r: int, d: int) -> int:
     return binomial(d + r, r)
+
+
+@lru_cache(maxsize=None)
+def _partial_map(field: Field, r: int, d: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each degree-(d - 1) monomial m, the column of m * X_i among the
+    degree-d monomials and the code of m_i + 1.  Read-only shared cache."""
+    if not 0 <= i <= r:
+        raise ParameterError(f"variable index {i} out of range for r={r}")
+    if d < 1:
+        raise ParameterError("cannot differentiate a constant form")
+    index = monomial_index(r, d)
+    mons = monomials(r, d - 1)
+    source = np.array([index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in mons], dtype=np.intp)
+    scalar = np.array([field.from_int(m[i] + 1) for m in mons], dtype=np.uint16)
+    source.flags.writeable = scalar.flags.writeable = False
+    return source, scalar
+
+
+def partial_rows(field: Field, r: int, d: int, i: int, rows: np.ndarray) -> np.ndarray:
+    """dF/dX_i of every degree-d form F whose coefficients lie on the last
+    axis of rows: the coefficient of m in dF/dX_i is (m_i + 1) times the
+    coefficient of m * X_i in F."""
+    source, scalar = _partial_map(field, r, d, i)
+    return field.MUL[rows[..., source], scalar]
 
 
 class MultiPoly:
@@ -150,22 +177,8 @@ class MultiPoly:
     def partial(self, i: int) -> "MultiPoly":
         """Formal partial derivative in X_i; terms with exponent divisible by
         the characteristic drop out."""
-        if self.d < 1:
-            raise ParameterError("cannot differentiate a constant form")
-        f = self.field
-        out = np.zeros(n_monomials(self.r, self.d - 1), dtype=np.uint16)
-        index = monomial_index(self.r, self.d - 1)
-        for exp, code in self.support():
-            e = exp[i]
-            if e == 0:
-                continue
-            scalar = f.from_int(e)
-            if scalar == 0:
-                continue
-            new = tuple(x - 1 if j == i else x for j, x in enumerate(exp))
-            j = index[new]
-            out[j] = f.ADD[out[j], f.MUL[code, scalar]]
-        return MultiPoly(f, self.r, self.d - 1, out)
+        return MultiPoly(self.field, self.r, self.d - 1,
+                         partial_rows(self.field, self.r, self.d, i, self.coeffs))
 
 
 def poly_to_line(poly: MultiPoly) -> str:

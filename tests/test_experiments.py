@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -99,9 +100,13 @@ def test_excess_dependent_pair_count_matches_rank_oracle():
 def test_excess_sampled_mode_runs_and_is_seeded():
     res = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=600, seed=7)
     again = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=600, seed=7)
-    assert res.key() == again.key()
+
+    def key(result):
+        return dataclasses.replace(result, runtime_s=0.0)
+
+    assert key(res) == key(again)
     other = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=600, seed=8)
-    assert other.hits != res.hits or other.key() != res.key()
+    assert other.hits != res.hits or key(other) != key(res)
 
 
 def test_excess_budget_guards():
@@ -124,11 +129,18 @@ def test_bad_mode_seed_and_m_max_raise_before_any_work():
             singular_experiment(r, ell, gf(2), mode="bogus")
     with pytest.raises(ParameterError, match="unknown mode 'bogus'"):
         excess_experiment(2, (2, 2), 1, gf(2), mode="bogus")
+    x0 = MultiPoly.variable(gf(2), 2, 0)
     for seed in (-1, 2**63, 2**64):
         with pytest.raises(ParameterError, match="seed"):
             excess_experiment(2, (1, 1), 1, gf(2), seed=seed)
         with pytest.raises(ParameterError, match="seed"):
             singular_experiment(2, 3, gf(2), seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            dim_at_least([x0, x0], 1, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            restriction_codim(3, 2, 1, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            poonen_sample(2, 5, gf(2), seed=seed)
     for m_max in (0, 4, 9):
         with pytest.raises(ParameterError, match="m_max"):
             excess_experiment(4, (2, 2), 1, gf(2), mode="sampled", trials=300, m_max=m_max)
@@ -347,12 +359,16 @@ def test_detector_agreement_suite():
     assert conclusive >= 50
 
 
-def test_experiment_serialization():
+def test_experiment_serialization(capsys):
+    code = cli.run(["oracle", "excess", "--r", "2", "--degrees", "1,1", "--field", "2",
+                    "--mode", "exhaustive", "--format", "json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["command"] == "oracle excess"
+    values = {r["name"]: r["value"] for r in report["results"]}
+    assert values["hits"] == 22 and values["trials"] == 64
     res = excess_experiment(2, (1, 1), 1, gf(2), mode="exhaustive")
-    d = res.to_dict()
-    assert d["hits"] == 22 and d["trials"] == 64
-    assert d["kind"] == "excess"
-    assert math.isclose(d["est_codim"], res.est_codim)
+    assert math.isclose(values["est_codim"], res.est_codim)
 
 
 def replayed_sample(message: str):
@@ -386,8 +402,8 @@ def wrong_reference_from(first_wrong: int, r: int):
     with index first_wrong on: dimensions >= 1 become -1, the rest r."""
     real = experiments.batch_projective_dim_hilbert
 
-    def wrong(samples, *a, **kw):
-        dims = real(samples, *a, **kw)
+    def wrong(*args):
+        dims = real(*args)
         return dims[:first_wrong] + [-1 if dim >= 1 else r for dim in dims[first_wrong:]]
 
     return wrong
@@ -439,6 +455,19 @@ def test_excess_r4_counts_crosschecks_over_budget(monkeypatch, degrees, mode, hi
     assert (res.hits, res.crosscheck_skipped, len(seen)) == (hits, skipped, checked - skipped)
 
 
+@pytest.mark.parametrize("run, hits", [
+    (lambda: excess_experiment(3, (2, 2, 2), 1, gf(2), "sampled", 4096, seed=5), 313),
+    # a zero linear form in 1/16 of the samples: the block holds two live
+    # patterns
+    (lambda: excess_experiment(3, (1, 2, 2), 1, gf(2), "sampled", 4096, seed=5), 714),
+    (lambda: singular_experiment(4, 3, gf(2), trials=512, seed=5), 11),
+    (lambda: singular_experiment(3, 3, gf(2, 2), trials=1024, seed=5), 1),
+], ids=["excess-222", "excess-122", "singular-r4", "singular-gf4"])
+def test_block_runs_keep_their_pinned_counts(run, hits):
+    res = run()
+    assert (res.hits, res.crosscheck_skipped) == (hits, 0)
+
+
 def test_singular_space_sampled_matches_per_sample_decisions(monkeypatch):
     # chunks of 16: the section test batched over each chunk decides every
     # form as it does on that form alone
@@ -467,8 +496,11 @@ def test_euler_drop_keeps_the_singular_decisions(ell, n):
     forms += [x0 * x0 * a + x0 * x1 * b + x1 * x1 * c
               for a, b, c in ([MultiPoly.random(field, r, ell - 2, rng) for _ in range(3)]
                               for _ in range(n // 2))]
-    with_f = batch_dim_at_least([_singular_generators(F) for F in forms], 1, field, r, 5)
-    without_f = batch_dim_at_least([_singular_generators(F)[1:] for F in forms], 1, field, r, 5)
+    block = np.array([np.concatenate([g.coeffs for g in _singular_generators(F)])
+                      for F in forms])
+    degrees = [ell] + [ell - 1] * (r + 1)
+    with_f = batch_dim_at_least(field, r, degrees, block, 1, 5)
+    without_f = batch_dim_at_least(field, r, degrees[1:], block[:, n_monomials(r, ell):], 1, 5)
     assert with_f.tolist() == without_f.tolist()
     assert with_f[n // 2:].all()
 
@@ -478,9 +510,9 @@ def test_singular_sections_keep_f_for_even_ell(monkeypatch, ell):
     sizes = set()
     section_test = experiments.batch_dim_at_least
 
-    def spy(samples, *args):
-        sizes.update(len(gens) for gens in samples)
-        return section_test(samples, *args)
+    def spy(field, r, degrees, block, *args):
+        sizes.add(len(degrees))
+        return section_test(field, r, degrees, block, *args)
 
     monkeypatch.setattr(experiments, "batch_dim_at_least", spy)
     singular_experiment(3, ell, gf(2), mode="sampled", trials=8, seed=5)

@@ -321,15 +321,38 @@ def window_dim(gens, field, r):
     raise AssertionError("window did not stabilize")
 
 
+def as_block(samples):
+    """Samples of forms of the same degrees as a block, one sample per row."""
+    return np.array([np.concatenate([g.coeffs for g in gens]) for gens in samples],
+                    dtype=np.uint16)
+
+
 @st.composite
-def sample_lists(draw, field, r):
+def sample_blocks(draw, field, r):
     """Several samples from ``section_cases`` with one s and one plane seed,
-    some with one more zero generator, so live signatures mix within a
-    list."""
+    as the rows of one block.  Samples whose forms have the same degrees
+    share their columns and the other columns of a row are zero forms; in
+    some samples one more form, at a drawn position, is zero.  So live
+    patterns mix within a block.  Returns (degrees, block, the rows as
+    lists of forms, s, seed)."""
     cases = draw(st.lists(section_cases(field, r), min_size=1, max_size=6))
-    zero = MultiPoly.zero(field, r, 2)
-    samples = [gens + [zero] * draw(st.integers(0, 1)) for gens, _, _ in cases]
-    return samples, cases[0][1], cases[0][2]
+    slots: dict[tuple[int, ...], int] = {}
+    degrees: list[int] = []
+    for gens, _, _ in cases:
+        key = tuple(g.d for g in gens)
+        if key not in slots:
+            slots[key] = len(degrees)
+            degrees.extend(key)
+    samples = []
+    for gens, _, _ in cases:
+        forms = [MultiPoly.zero(field, r, d) for d in degrees]
+        lo = slots[tuple(g.d for g in gens)]
+        forms[lo:lo + len(gens)] = gens
+        if draw(st.booleans()):
+            pos = lo + draw(st.integers(0, len(gens) - 1))
+            forms[pos] = MultiPoly.zero(field, r, degrees[pos])
+        samples.append(forms)
+    return degrees, as_block(samples), samples, cases[0][1], cases[0][2]
 
 
 @pytest.mark.parametrize("spec, r, examples", [
@@ -341,13 +364,13 @@ def test_batched_tests_match_per_sample_results(spec, r, examples):
 
     @settings(max_examples=examples, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(sample_lists(field, r))
+    @given(sample_blocks(field, r))
     def check(case):
-        samples, s, seed = case
-        dims = batch_projective_dim_hilbert(samples, field, r)
+        degrees, block, samples, s, seed = case
+        dims = batch_projective_dim_hilbert(field, r, degrees, block)
         assert dims == [projective_dim_hilbert(g, field, r) for g in samples]
         assert dims == [window_dim(g, field, r) for g in samples]
-        hits = batch_dim_at_least(samples, s, field, r, seed)
+        hits = batch_dim_at_least(field, r, degrees, block, s, seed)
         assert hits.tolist() == [dim_at_least(g, s, field, r, seed) for g in samples]
 
     check()
@@ -358,11 +381,12 @@ def test_batched_windows_split_into_small_stacks(monkeypatch):
     field = gf(3)
     rng = np.random.default_rng(8)
     samples = [[MultiPoly.random(field, 2, 1, rng) for _ in range(2)] for _ in range(12)]
+    block = as_block(samples)
     with monkeypatch.context() as patch:
         patch.setattr(hilbert, "MAX_MATRIX_ENTRIES", 4000)
-        small = batch_projective_dim_hilbert(samples)
-    assert small == batch_projective_dim_hilbert(samples) == [window_dim(g, field, 2)
-                                                              for g in samples]
+        small = batch_projective_dim_hilbert(field, 2, [1, 1], block)
+    assert small == batch_projective_dim_hilbert(field, 2, [1, 1], block) == [
+        window_dim(g, field, 2) for g in samples]
     # under the 4M-entry budget a full chunk of singular sections, 4096
     # stacked 24 x 15 matrices, is ranked in stacks of at most 2^20 entries
     sizes = []
@@ -377,8 +401,10 @@ def test_batched_reference_gives_none_over_budget():
     # linear form stays within the budget
     f = gf(2)
     x = [MultiPoly.variable(f, 4, i) for i in range(5)]
-    assert batch_projective_dim_hilbert([x[:3], [x[0]], x[1:4]]) == [None, 3, None]
-    assert batch_projective_dim_hilbert([]) == []
+    zero = MultiPoly.zero(f, 4, 1)
+    block = as_block([x[:3], [x[0], zero, zero], x[1:4]])
+    assert batch_projective_dim_hilbert(f, 4, [1, 1, 1], block) == [None, 3, None]
+    assert batch_projective_dim_hilbert(f, 4, [1, 1, 1], block[:0]) == []
     with pytest.raises(BudgetError, match=r"degree-11 piece needs a 3003x1365 matrix"):
         projective_dim_hilbert(x[:3])
 
@@ -387,11 +413,27 @@ def test_budget_error_names_the_sample(monkeypatch):
     f = gf(2)
     line, conic = MultiPoly.variable(f, 2, 0), MultiPoly.variable(f, 2, 1).square()
     monkeypatch.setattr(hilbert, "MAX_WINDOW_STEPS", 3)
-    assert batch_projective_dim_hilbert([[conic], [line]]) == [None, None]
+    block = as_block([[conic, MultiPoly.zero(f, 2, 1)], [MultiPoly.zero(f, 2, 2), line]])
+    assert batch_projective_dim_hilbert(f, 2, [2, 1], block) == [None, None]
     with pytest.raises(BudgetError, match=r"within 3 steps \(generators of degrees \[2\]\)"):
         projective_dim_hilbert([conic])
     with pytest.raises(BudgetError, match=r"degrees \[1\]"):
         projective_dim_hilbert([line])
-    assert batch_dim_at_least([], 1).tolist() == []
-    with pytest.raises(ParameterError):
-        batch_dim_at_least([[line], [MultiPoly.variable(gf(3), 2, 0)]], 1)
+    assert batch_dim_at_least(f, 2, [2, 1], block[:0], 1).tolist() == []
+
+
+def test_blocks_of_the_wrong_shape_or_codes_are_rejected():
+    f = gf(2)
+    good = np.zeros((2, 9), dtype=np.uint16)  # a conic and a line on P^2 per row
+    assert batch_dim_at_least(f, 2, [2, 1], good, 1).tolist() == [True, True]
+    assert batch_projective_dim_hilbert(f, 2, [2, 1], good) == [2, 2]
+    # a GF(3) code in a GF(2) block, a negative code, a wrong width, one row
+    # without its block axis
+    for block in (good + 2 * np.eye(2, 9, dtype=np.uint16), good.astype(np.int64) - 1,
+                  good[:, :8], good[0]):
+        with pytest.raises(ParameterError):
+            batch_dim_at_least(f, 2, [2, 1], block, 1)
+        with pytest.raises(ParameterError):
+            batch_projective_dim_hilbert(f, 2, [2, 1], block)
+    with pytest.raises(ParameterError, match=r"need an \(n, 9\) block"):
+        batch_dim_at_least(f, 2, [2, 1], good[:, :8], 5)

@@ -7,6 +7,7 @@ from excodim.fforacle.polynomials import (
     MultiPoly,
     monomials,
     n_monomials,
+    partial_rows,
     poly_from_line,
     poly_to_line,
 )
@@ -34,6 +35,10 @@ def test_multipoly_construction_checks():
         MultiPoly(f, 2, 2, [0, 0, 0])  # wrong length
     with pytest.raises(ParameterError):
         MultiPoly(f, 1, 1, [2, 0])  # code out of range
+    cubic = MultiPoly.random(f, 2, 3, np.random.default_rng(0))
+    for i in (-1, 3):
+        with pytest.raises(ParameterError, match="out of range"):
+            cubic.partial(i)
 
 
 def test_multiplication_small_case():
@@ -64,15 +69,29 @@ def test_multiplication_matches_reference():
 
 def test_euler_identity():
     # sum_i X_i dF/dX_i = deg(F) * F, in any characteristic
-    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
         f = gf(p, e)
         rng = np.random.default_rng(p * 10 + e)
-        for d in (2, 3, 4):
-            F = MultiPoly.random(f, 2, d, rng)
-            acc = MultiPoly.zero(f, 2, d)
-            for i in range(3):
-                acc = acc + MultiPoly.variable(f, 2, i) * F.partial(i)
-            assert acc == F.scale(f.from_int(d))
+        for r in (2, 3):
+            for d in (2, 3, 4):
+                F = MultiPoly.random(f, r, d, rng)
+                acc = MultiPoly.zero(f, r, d)
+                for i in range(r + 1):
+                    acc = acc + MultiPoly.variable(f, r, i) * F.partial(i)
+                assert acc == F.scale(f.from_int(d))
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (7, 1)])
+def test_partial_rows_of_a_stack_match_each_row(p, e):
+    f = gf(p, e)
+    rng = np.random.default_rng([p, e])
+    for r, d in ((1, 1), (2, 3), (3, 4)):
+        rows = rng.integers(0, f.q, size=(9, n_monomials(r, d)), dtype=np.uint16)
+        for i in range(r + 1):
+            stack = partial_rows(f, r, d, i, rows)
+            assert stack.shape == (9, n_monomials(r, d - 1))
+            for row, got in zip(rows, stack):
+                assert np.array_equal(partial_rows(f, r, d, i, row), got)
 
 
 def test_char2_derivative_cancellation():
