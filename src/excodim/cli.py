@@ -8,11 +8,17 @@ sweep commands only.  Exit codes: 0 ok, 1 internal invariant violation,
 
 Only the oracle subcommands and selftest load the finite-field oracle, and
 with it numpy; the calculus subcommands run on the standard library alone.
+
+``main``, the console entry point, freezes the garbage collector once
+``run`` has printed the report, so that interpreter exit does not scan
+every object the run left alive (about 20 ms after an oracle run).  ``run``
+itself leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -527,7 +533,11 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    # the report is out: spare the exit the collector's pass over every
+    # object the run left alive
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

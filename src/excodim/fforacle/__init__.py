@@ -11,7 +11,7 @@ from .hilbert import (
     hilbert_function,
     projective_dim_hilbert,
 )
-from .points import PointProbe, projective_dim_points, projective_points
+from .points import PointProbe, batch_projective_dim_points, projective_dim_points, projective_points
 from .experiments import (
     DEFAULT_SEED,
     ExperimentResult,
@@ -37,6 +37,7 @@ __all__ = [
     "hilbert_function",
     "projective_dim_hilbert",
     "PointProbe",
+    "batch_projective_dim_points",
     "projective_dim_points",
     "projective_points",
     "DEFAULT_SEED",

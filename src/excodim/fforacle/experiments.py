@@ -29,15 +29,16 @@ plane's repeated-factor set, always keeps F, so that it stays independent.
 In an excess run about CROSSCHECK_SAMPLES evenly spaced samples are also
 checked against two independent detectors: the Hilbert-window dimension
 must give the same decision dim >= r - k + a, and a conclusive point count
-must be matched by a positive Hilbert dimension.  One
-``batch_projective_dim_hilbert`` call after the last chunk, on the block of
-their rows, gives all their dimensions; the samples are then compared in
-sample order.  A failed
-check raises ``InvariantError`` naming the first failing sample as
-``poly_to_line`` lines with its seed and chunk, so it can be replayed.  The
-window of a sample can go over the matrix budget (from r = 4 on it mostly
-does); the reference gives None for such a sample, which is not checked,
-and the result counts it in ``crosscheck_skipped``.
+must be matched by a positive Hilbert dimension.  After the last chunk,
+one ``batch_projective_dim_hilbert`` call on the block of their rows gives
+all their dimensions, and one ``batch_projective_dim_points`` call on the
+rows whose window fits gives all their point counts; the samples are then
+compared one by one in sample order.  A failed check raises
+``InvariantError`` naming the first failing sample as ``poly_to_line``
+lines with its seed and chunk, so it can be replayed.  The window of a
+sample can go over the matrix budget (from r = 4 on it mostly does); the
+reference gives None for such a sample, which is neither probed nor
+checked, and the result counts it in ``crosscheck_skipped``.
 
 The mode, seed and m_max are checked before any work; a bad value raises
 ParameterError.
@@ -65,7 +66,7 @@ from .hilbert import (
     restriction_map,
 )
 from .linalg import batch_rank, matrix_rank, rows_times
-from .points import projective_dim_points
+from .points import PointProbe, batch_projective_dim_points
 from .polynomials import MultiPoly, n_monomials, partial_rows, poly_to_line
 
 DEFAULT_SEED = 271828
@@ -130,22 +131,18 @@ def _replay_note(generators, seed: int, chunk: int) -> str:
     return f"seed {seed}, chunk {chunk}, generators:\n{lines}"
 
 
-def _crosscheck_sample(generators, s: int, hit: bool, hil: int, m_max: int, seed: int,
-                       chunk: int):
+def _crosscheck_sample(generators, s: int, hit: bool, hil: int, probe: PointProbe | None,
+                       seed: int, chunk: int):
     """Independent-detector agreement for one sample: its Hilbert-window
     dimension hil must give the same decision dim >= s, and a conclusive
-    positive point count must be matched by it, or the run dies naming the
-    sample."""
+    positive point count (probe, None when no extension fits the point
+    budget) must be matched by it, or the run dies naming the sample."""
     if (hil >= s) != hit:
         raise InvariantError(
             f"the sample's decision dim >= {s} is {hit} but the Hilbert detector "
             f"gives dimension {hil}; {_replay_note(generators, seed, chunk)}"
         )
-    try:
-        probe = projective_dim_points(generators, m_max=m_max)
-    except BudgetError:
-        return
-    if probe.positive_dimensional and hil < 1:
+    if probe is not None and probe.positive_dimensional and hil < 1:
         raise InvariantError(
             f"point count {probe.counts} exceeds cutoff {probe.cutoff} but the "
             f"Hilbert detector gives dimension {hil}; "
@@ -213,15 +210,18 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
         hits += int(np.count_nonzero(hit))
         checked.extend((block[i], bool(hit[i]), chunk)
                        for i in range((-lo) % check_every, n, check_every))
-    # one batched reference over every checked sample, compared in sample
-    # order, so the first disagreeing sample is the one named
-    hil_dims = batch_projective_dim_hilbert(field, r, degrees,
-                                            np.array([row for row, _, _ in checked]))
+    # one batched reference and one batched point probe over the checked
+    # samples, compared in sample order, so the first disagreeing sample is
+    # the one named; a sample whose window is over budget (None) is skipped
+    rows = np.array([row for row, _, _ in checked])
+    hil_dims = batch_projective_dim_hilbert(field, r, degrees, rows)
+    fits = [i for i, hil in enumerate(hil_dims) if hil is not None]
+    probes = batch_projective_dim_points(field, r, degrees, rows[fits], m_max)
     ends = np.cumsum(dims)[:-1]  # where each form's coefficients end in a row
-    for (row, hit, chunk), hil in zip(checked, hil_dims):
-        if hil is not None:  # None: its window is over budget
-            gens = [MultiPoly(field, r, d, c) for d, c in zip(degrees, np.split(row, ends))]
-            _crosscheck_sample(gens, threshold, hit, hil, m_max, seed, chunk)
+    for i, probe in zip(fits, probes):
+        row, hit, chunk = checked[i]
+        gens = [MultiPoly(field, r, d, c) for d, c in zip(degrees, np.split(row, ends))]
+        _crosscheck_sample(gens, threshold, hit, hil_dims[i], probe, seed, chunk)
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(

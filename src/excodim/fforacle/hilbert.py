@@ -85,13 +85,19 @@ MAX_PLANE_DRAWS = 64
 
 
 def _ring_of(generators, field, r):
+    """The field and r of a list of forms; a given field or r must be
+    theirs."""
     gens = list(generators)
     if gens:
-        field = gens[0].field
-        r = gens[0].r
-        for g in gens:
-            if g.field is not field or g.r != r:
-                raise ParameterError("generators live over different rings")
+        ring = gens[0].field, gens[0].r
+        if any(g.field is not ring[0] or g.r != ring[1] for g in gens):
+            raise ParameterError("generators live over different rings")
+        if field not in (None, ring[0]) or r not in (None, ring[1]):
+            raise ParameterError(
+                f"the generators live over {ring[0]} on P^{ring[1]}, "
+                f"not the given field {field} and r={r}"
+            )
+        field, r = ring
     if field is None or r is None:
         raise ParameterError("field and r are required when no generators are given")
     return field, r
@@ -180,20 +186,29 @@ def check_seed(seed: int):
         raise ParameterError(f"need 0 <= seed < 2**63, got {seed}")
 
 
-def _live_groups(field: Field, r: int, degrees, block) -> list:
-    """The rows of a block grouped by which of their forms are nonzero, as
-    (degrees of the live forms, row indices, one coefficient stack per live
-    form)."""
+def _form_stacks(field: Field, r: int, degrees, block) -> tuple[list, np.ndarray]:
+    """The coefficient stack of each form of a checked block, and the (n, k)
+    mask of which forms of each row are nonzero."""
     widths = [n_monomials(r, d) for d in degrees]
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[1] != sum(widths):
         raise ParameterError(f"need an (n, {sum(widths)}) block, got shape {block.shape}")
     if block.size and (block.min() < 0 or block.max() >= field.q):
         raise ParameterError("coefficient code out of range")
-    stacks = np.split(block.astype(np.uint16, copy=False), np.cumsum(widths)[:-1], axis=1)
+    ends = np.cumsum([0, *widths])
+    block = block.astype(np.uint16, copy=False)
+    stacks = [block[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
     live = np.zeros((len(block), len(stacks)), dtype=bool)
     for j, c in enumerate(stacks):
         live[:, j] = c.any(axis=1)
+    return stacks, live
+
+
+def _live_groups(field: Field, r: int, degrees, block) -> list:
+    """The rows of a block grouped by which of their forms are nonzero, as
+    (degrees of the live forms, row indices, one coefficient stack per live
+    form)."""
+    stacks, live = _form_stacks(field, r, degrees, block)
     patterns, group = np.unique(live, axis=0, return_inverse=True)
     groups = []
     for j, pattern in enumerate(patterns):

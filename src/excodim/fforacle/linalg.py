@@ -6,14 +6,19 @@ Every other field takes one sparse elimination vectorised over the batch
 axis: at each column it updates only the rows that are nonzero there in some
 matrix of the stack, and in them only the columns where some pivot row is
 nonzero, which keeps the sparse Macaulay matrices of ``hilbert`` cheap.
-Prime-field codes are residues, so their rows are updated mod p; extension
-fields use the ADD/MUL tables.  ``matrix_rank`` is ``batch_rank`` on a stack
-of one.
+The loop runs over columns, so a stack of matrices wider than tall is
+ranked transposed (rank M = rank M^T): a chunk of 2 x 3 linear tuples takes
+two column steps, not three.  Each step reads every matrix's pivot row with
+one ``take`` on a flat view of the stack, which is why the elimination works
+on a C-ordered copy.  Prime-field codes are residues, so their rows are
+updated mod p; extension fields use the ADD/MUL tables.  ``matrix_rank`` is
+``batch_rank`` on a stack of one.
 
 ``rows_times`` multiplies a block of coefficient rows by one matrix: an
 integer matmul mod p on prime fields, a table-lookup sum otherwise.  It
-restricts forms to the section planes of ``hilbert`` and multiplies forms by
-a fixed square in ``experiments``.
+restricts forms to the section planes of ``hilbert``, multiplies forms by a
+fixed square in ``experiments`` and evaluates forms at every point of a
+projective space in ``points``.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ def _rank_gf2(mats: np.ndarray) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _rank_sparse(field: Field, m: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, m, n) stack, eliminating in place.
+def _rank_sparse(field: Field, mats: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, m, n) stack, eliminating in a C-ordered copy of it.
 
     Elimination runs column by column over the whole batch at once, with no
     row swaps.  Each matrix's pivot is its first row with a nonzero entry in
@@ -59,29 +64,33 @@ def _rank_sparse(field: Field, m: np.ndarray) -> np.ndarray:
     included, which zeroes the pivot row so it is never picked again.  Rows
     are then zero in every column already processed.  A row that is zero in
     the column in every matrix is left alone, and so is a column that is
-    zero in every pivot row.
+    zero in every chosen row.  A matrix with no pivot in the column chooses
+    its first row, which may widen the updated columns but gets zero
+    factors.
     """
-    nbatch, _, ncols = m.shape
+    m = np.array(mats, dtype=np.uint16, order="C")
+    nbatch, nrows, ncols = m.shape
+    flat = m.reshape(nbatch * nrows, ncols)  # a view, as m is C-ordered
+    first_row = np.arange(0, nbatch * nrows, nrows)
     ranks = np.zeros(nbatch, dtype=np.int64)
-    batch = np.arange(nbatch)
     for col in range(ncols):
         nonzero = m[:, :, col] != 0
         rows = np.flatnonzero(nonzero.any(axis=0))
         if rows.size == 0:
             continue
-        has_pivot = nonzero.any(axis=1)
-        pivot_row = m[batch, nonzero.argmax(axis=1)]
-        cols = np.flatnonzero(pivot_row[has_pivot].any(axis=0))
+        pivot_row = flat.take(first_row + nonzero.argmax(axis=1), axis=0)
+        pivot = pivot_row[:, col:col + 1]
+        cols = np.flatnonzero(pivot_row.any(axis=0))
         # row i gets -m[i, col] / pivot times the pivot row; matrices with
         # no pivot have a zero column, hence a zero factor
-        factor = field.MUL[field.NEG[m[:, rows, col]], field.INV[pivot_row[:, col:col + 1]]]
+        factor = field.MUL[field.NEG[m[:, rows, col]], field.INV[pivot]]
         factor, pivots = factor[:, :, None], pivot_row[:, None, cols]
         block = m[:, rows[:, None], cols]
         if field.e == 1:  # the codes are residues mod p
             m[:, rows[:, None], cols] = (block + factor * pivots) % field.p
         else:
             m[:, rows[:, None], cols] = field.ADD[block, field.MUL[factor, pivots]]
-        ranks += has_pivot
+        ranks += pivot[:, 0] != 0
     return ranks
 
 
@@ -92,7 +101,9 @@ def batch_rank(field: Field, mats: np.ndarray) -> np.ndarray:
         return np.zeros(len(mats), dtype=np.int64)
     if field.q == 2:
         return _rank_gf2(mats)
-    return _rank_sparse(field, np.array(mats, dtype=np.uint16))
+    if mats.shape[1] < mats.shape[2]:
+        mats = mats.transpose(0, 2, 1)  # rank(M) = rank(M^T), with fewer columns to clear
+    return _rank_sparse(field, mats)
 
 
 def matrix_rank(field: Field, matrix: np.ndarray) -> int:

@@ -320,3 +320,26 @@ def test_module_entry_point_runs_the_oracle():
     values = {r["name"]: r["value"] for r in report["results"]}
     assert (values["trials"], values["hits"], values["predicted_codim"]) == (40, 0, 6)
     assert report["config"]["seed"] == 271828
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("oracle", "excess", "--r", "2", "--degrees", "1,1", "--field", "7", "--mode",
+      "exhaustive", "--format", "json"), 0, ""),
+    (("oracle", "excess", "--r", "2", "--degrees", "1,1", "--field", "6"), 2, "error: "),
+    (("oracle", "excess", "--r", "2", "--degrees", "1,1", "--a", "1", "--bogus"), 2,
+     "unrecognized arguments: --bogus"),
+    (("oracle", "excess", "--r", "2", "--degrees", "2,2", "--field", "3", "--mode",
+      "exhaustive"), 3, "budget exhausted: "),
+], ids=["ok", "bad-field", "bad-flag", "budget"])
+def test_module_entry_point_exit_codes(argv, code, err):
+    # main() exits after run(): the exit code and the piped report survive
+    proc = run_fresh(["-m", "excodim.cli", *argv])
+    assert proc.returncode == code, proc.stderr
+    assert err in proc.stderr
+    if code:
+        assert proc.stdout == ""
+        return
+    report = json.loads(proc.stdout)
+    jsonschema.validate(report, load_schema())
+    values = {r["name"]: r["value"] for r in report["results"]}
+    assert (values["trials"], values["hits"]) == (7**6, 2737)

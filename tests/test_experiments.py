@@ -30,7 +30,7 @@ from excodim.fforacle.fields import gf, parse_field
 from excodim.fforacle.hilbert import batch_dim_at_least, dim_at_least, projective_dim_hilbert
 from excodim.fforacle.linalg import matrix_rank
 from excodim.fforacle.points import projective_dim_points
-from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line
+from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line, poly_to_line
 
 
 def test_excess_exhaustive_linear_pairs_f2():
@@ -436,6 +436,37 @@ def test_crosscheck_failure_names_a_later_chunk(monkeypatch):
     with pytest.raises(InvariantError) as err:
         excess_experiment(2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8)
     assert replayed_sample(str(err.value))[:2] == (8, 2)
+
+
+def test_crosscheck_point_probe_failure_names_the_sample(monkeypatch):
+    # 13 chunks of 16 plane (2, 2) tuples, checked every 4th sample; the
+    # batched probe reports "positive" on the first checked chunk-1 sample
+    # of Hilbert dimension 0, with its real counts
+    monkeypatch.setattr(experiments, "CHUNK", 16)
+    field, seed, every = gf(2), 8, 200 // experiments.CROSSCHECK_SAMPLES
+    chunk1 = _chunk_rng(seed, 1).integers(0, 2, size=(16, 12), dtype=np.uint16)
+    samples = [(j, [MultiPoly(field, 2, 2, row[:6]), MultiPoly(field, 2, 2, row[6:])])
+               for j, row in enumerate(chunk1) if j % every == 0]
+    j, gens = next((j, gens) for j, gens in samples if projective_dim_hilbert(gens) == 0)
+    real = experiments.batch_projective_dim_points
+
+    def positive_at_target(*args):
+        probes = real(*args)
+        k = (16 + j) // every  # at r = 2 no window is over budget
+        assert args[3][k].tolist() == chunk1[j].tolist()
+        probes[k] = dataclasses.replace(probes[k], positive_dimensional=True, conclusive=True)
+        return probes
+
+    monkeypatch.setattr(experiments, "batch_projective_dim_points", positive_at_target)
+    with pytest.raises(InvariantError) as err:
+        excess_experiment(2, (2, 2), 1, field, mode="sampled", trials=200, seed=seed)
+    message = str(err.value)
+    probe = projective_dim_points(gens, m_max=2)
+    assert message.startswith(f"point count {probe.counts} exceeds cutoff {probe.cutoff} "
+                              "but the Hilbert detector gives dimension 0; seed 8, chunk 1, ")
+    assert message.endswith("\n".join(poly_to_line(g) for g in gens))
+    got_seed, chunk, replayed = replayed_sample(message)
+    assert (got_seed, chunk, replayed) == (seed, 1, gens)
 
 
 @pytest.mark.parametrize("degrees, mode, hits, checked, skipped", [

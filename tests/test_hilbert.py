@@ -16,6 +16,7 @@ from excodim.fforacle.hilbert import (
     projective_dim_hilbert,
     section_field,
 )
+from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly, monomial_index, monomials, n_monomials
 
 ALL_FIELDS = [gf(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)]
@@ -437,3 +438,17 @@ def test_blocks_of_the_wrong_shape_or_codes_are_rejected():
             batch_projective_dim_hilbert(f, 2, [2, 1], block)
     with pytest.raises(ParameterError, match=r"need an \(n, 9\) block"):
         batch_dim_at_least(f, 2, [2, 1], good[:, :8], 5)
+
+
+@pytest.mark.parametrize("field, r", [(gf(2), 5), (gf(2), None), (None, 5), (gf(3), 3)],
+                         ids=["both", "field", "r", "r-only-wrong"])
+def test_given_ring_must_be_the_forms_ring(field, r):
+    x0 = MultiPoly.variable(gf(3), 2, 0)
+    for call in (lambda: dim_at_least([x0], 1, field=field, r=r),
+                 lambda: projective_dim_hilbert([x0], field=field, r=r),
+                 lambda: projective_dim_points([x0], field=field, r=r)):
+        with pytest.raises(ParameterError, match="the generators live over GF"):
+            call()
+    # the forms' own ring, given or not, is accepted
+    assert dim_at_least([x0], 1, field=gf(3), r=2) and dim_at_least([x0], 1)
+    assert projective_dim_hilbert([x0], field=gf(3), r=2) == 1

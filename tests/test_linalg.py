@@ -96,3 +96,38 @@ def macaulay_stacks(draw):
 def test_batch_rank_matches_reference_on_sparse_macaulay_stacks(case):
     field, mats = case
     assert batch_rank(field, mats).tolist() == [reference_rank(field, m) for m in mats]
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_batch_rank_of_wide_stacks(p, e):
+    # stacks with fewer rows than columns are ranked transposed
+    field = gf(p, e)
+    rng = np.random.default_rng(p * 100 + e)
+    for shape in ((6, 1, 4), (64, 2, 3), (5, 3, 7)):
+        mats = rng.integers(0, field.q, size=shape, dtype=np.uint16)
+        mats[rng.random(shape) < 0.4] = 0
+        mats[0] = 0
+        assert batch_rank(field, mats).tolist() == [reference_rank(field, m) for m in mats]
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_matrix_without_pivot_keeps_its_first_row(p, e):
+    # column 0 is zero in the first matrix, whose first row is nonzero in
+    # the other columns; the second matrix has a pivot there
+    field = gf(p, e)
+    one = field.one
+    mats = np.array([[[0, one, one], [0, one, 0], [0, 0, 0], [0, one, one]],
+                     [[one, 0, one], [one, one, 0], [0, 0, one], [0, 0, 0]]], dtype=np.uint16)
+    assert batch_rank(field, mats).tolist() == [reference_rank(field, m) for m in mats] == [2, 3]
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_batch_rank_of_a_non_contiguous_view(p, e):
+    field = gf(p, e)
+    rng = np.random.default_rng(p + e)
+    base = rng.integers(0, field.q, size=(7, 3, 5), dtype=np.uint16)
+    base[rng.random(base.shape) < 0.3] = 0
+    for view in (base.transpose(0, 2, 1), base[:, :, ::2], base[::2]):
+        before = view.copy()
+        assert batch_rank(field, view).tolist() == [reference_rank(field, m) for m in view]
+        assert np.array_equal(view, before)  # the caller's stack is left alone
