@@ -195,9 +195,7 @@ def _form_stacks(field: Field, r: int, degrees, block) -> tuple[list, np.ndarray
         raise ParameterError(f"need an (n, {sum(widths)}) block, got shape {block.shape}")
     if block.size and (block.min() < 0 or block.max() >= field.q):
         raise ParameterError("coefficient code out of range")
-    ends = np.cumsum([0, *widths])
-    block = block.astype(np.uint16, copy=False)
-    stacks = [block[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
+    stacks = np.split(block.astype(np.uint16, copy=False), np.cumsum(widths)[:-1], axis=1)
     live = np.zeros((len(block), len(stacks)), dtype=bool)
     for j, c in enumerate(stacks):
         live[:, j] = c.any(axis=1)
