@@ -6,8 +6,18 @@ codimension and can confront the closed-form predictions.  Sampling is
 counter-based (one Philox stream per fixed-size chunk), so results depend
 only on the seed and configuration.
 
+Both loci are cones: V(c_1 g_1, ..., c_k g_k) = V(g_1, ..., g_k) for nonzero
+scalars c_i, and every test below (the linear rank, the section test, the
+Hilbert window and the point count) gives the same decision on each tuple
+of such an orbit.  Exhaustive mode therefore decides one tuple per orbit:
+it walks a mixed-radix index with one digit per form, the scaling class of
+that form (zero, or a vector whose top nonzero coefficient is one), and
+counts a hit with the weight (q - 1)^(nonzero forms) of its orbit.
+``trials`` still counts every tuple, q^total.  Over GF(2) every orbit is a
+single tuple and the walk is the plain base-2 enumeration.
+
 The experiments run their chunks one after another.  A chunk's samples
-form one (n, coefficients) block, decoded from the tuple indices in
+form one (n, coefficients) block, built from the class indices in
 exhaustive mode or drawn from the chunk's stream in sampled mode; no chunk
 loop builds a ``MultiPoly`` per sample.  Linear excess tuples are ranked as
 one (n, k, r + 1) stack by ``batch_rank``.  Every other block is decided by
@@ -16,7 +26,8 @@ nonlinear excess block as drawn, and beyond the plane the singular block
 [F | dF/dX_0 | ... | dF/dX_r], its partials taken by ``partial_rows``.  A plane
 curve is looked up in the exact set of forms with a repeated factor, built
 by ``repeated_factor_keys`` with one ``rows_times`` product per square H^2
-that multiplies every cofactor G at once.
+that multiplies every cofactor G at once; H runs over one form per scaling
+class, from the same class walk.
 
 For odd ell the singular samples leave F out.  Euler's relation
 ell * F = sum_i X_i dF/dX_i puts F in the ideal of its partials whenever the
@@ -26,13 +37,14 @@ the same, on a smaller system: for ell = 3 over GF(2) the sections rank
 F stays.  ``singular_membership``, the Hilbert reference that checks the
 plane's repeated-factor set, always keeps F, so that it stays independent.
 
-In an excess run about CROSSCHECK_SAMPLES evenly spaced samples are also
-checked against two independent detectors: the Hilbert-window dimension
-must give the same decision dim >= r - k + a, and a conclusive point count
-must be matched by a positive Hilbert dimension.  After the last chunk,
-one ``batch_projective_dim_hilbert`` call on the block of their rows gives
-all their dimensions, and one ``batch_projective_dim_points`` call on the
-rows whose window fits gives all their point counts; the samples are then
+In an excess run about CROSSCHECK_SAMPLES evenly spaced samples (orbit
+representatives in exhaustive mode) are also checked against two
+independent detectors: the Hilbert-window dimension must give the same
+decision dim >= r - k + a, and a conclusive point count must be matched by
+a positive Hilbert dimension.  After the last chunk, one
+``batch_projective_dim_hilbert`` call on the block of their rows gives all
+their dimensions, and one ``batch_projective_dim_points`` call on the rows
+whose window fits gives all their point counts; the samples are then
 compared one by one in sample order.  A failed check raises
 ``InvariantError`` naming the first failing sample as ``poly_to_line``
 lines with its seed and chunk, so it can be replayed.  The window of a
@@ -40,8 +52,8 @@ sample can go over the matrix budget (from r = 4 on it mostly does); the
 reference gives None for such a sample, which is neither probed nor
 checked, and the result counts it in ``crosscheck_skipped``.
 
-The mode, seed and m_max are checked before any work; a bad value raises
-ParameterError.
+The mode, trials, seed and m_max are checked before any work; a bad value,
+or trials given to exhaustive mode, raises ParameterError.
 """
 
 from __future__ import annotations
@@ -115,7 +127,47 @@ def _check_run(mode: str, trials: int | None, seed: int):
         raise ParameterError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
+    if trials is not None and mode == "exhaustive":
+        raise ParameterError("exhaustive mode examines every tuple; trials cannot be set")
     check_seed(seed)
+
+
+def _digits(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The n base-q digits of each value, least significant first."""
+    out = np.empty((len(values), n), dtype=np.uint16)
+    for j in range(n):
+        values, out[:, j] = np.divmod(values, q)
+    return out
+
+
+def _n_classes(q: int, n: int) -> int:
+    """Scaling classes of vectors of n coefficients: zero and the lines."""
+    return 1 + (q**n - 1) // (q - 1)
+
+
+def _class_rows(q: int, n: int, x: np.ndarray) -> np.ndarray:
+    """The coefficient row of each scaling class x of vectors of n
+    coefficients.  Class 0 is zero; class x = 1 + (q^j - 1)/(q - 1) + t with
+    0 <= t < q^j is the vector of base-q value q^j + t, whose top nonzero
+    coefficient is the code 1, that is field.one.  Over GF(2) class x is the
+    vector of value x."""
+    starts = 1 + (q ** np.arange(n, dtype=np.int64) - 1) // (q - 1)
+    j = np.maximum(np.searchsorted(starts, x, side="right") - 1, 0)
+    return _digits(q**j + x - starts[j], q, n)
+
+
+def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows lo .. lo + n of the walk over scaling classes of tuples, a
+    mixed-radix index with one digit per form (the first form least
+    significant), and the weight of each row: its (q - 1)^(nonzero forms)
+    tuples, all with the same decision."""
+    rest = np.arange(lo, lo + n, dtype=np.int64)
+    forms, live = [], np.zeros(n, dtype=np.int64)
+    for size in dims:
+        rest, x = np.divmod(rest, _n_classes(q, size))
+        forms.append(_class_rows(q, size, x))
+        live += x > 0
+    return np.concatenate(forms, axis=1), (q - 1) ** live
 
 
 def _estimate(hits: int, trials: int, q: int) -> tuple[float | None, str]:
@@ -154,7 +206,11 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
                       trials: int | None = None, seed: int = DEFAULT_SEED,
                       m_max: int = 2) -> ExperimentResult:
     """Estimate the codimension of the locus of tuples whose common vanishing
-    locus has dimension at least r - k + a, and attach the predicted value."""
+    locus has dimension at least r - k + a, and attach the predicted value.
+
+    Exhaustive mode counts all q^total tuples exactly but decides one tuple
+    per scaling orbit, and takes no ``trials``; sampled mode decides
+    ``trials`` seeded tuples (20000 by default)."""
     start = time.perf_counter()
     degrees = tuple(degrees)
     k = len(degrees)
@@ -187,18 +243,20 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
                 f"exhaustive run over {q}^{total} tuples with per-sample rank "
                 f"detection is over budget; use sampled mode"
             )
+        # scaling a form leaves its locus alone, so one tuple per orbit is
+        # decided and counted with its orbit's size
         trials = space
-    elif trials is None:
-        trials = 20_000
+        samples = math.prod(_n_classes(q, size) for size in dims)
+    else:
+        trials = samples = 20_000 if trials is None else trials
 
-    check_every = max(1, trials // CROSSCHECK_SAMPLES)
+    check_every = max(1, samples // CROSSCHECK_SAMPLES)
     hits = 0
     checked = []  # (coefficient row, decision, chunk) of the samples due a crosscheck
-    for chunk, lo, n in _chunks(trials):
+    for chunk, lo, n in _chunks(samples):
+        weight = None
         if mode == "exhaustive":
-            # tuple idx has the base-q digits of idx as its coefficients
-            idx = np.arange(lo, lo + n, dtype=np.int64)
-            block = ((idx[:, None] // q ** np.arange(total)) % q).astype(np.uint16)
+            block, weight = _class_block(q, dims, lo, n)
         else:
             block = _chunk_rng(seed, chunk).integers(0, q, size=(n, total), dtype=np.uint16)
         if linear:
@@ -207,7 +265,7 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
             hit = r - batch_rank(field, block.reshape(n, k, r + 1)) >= threshold
         else:
             hit = batch_dim_at_least(field, r, degrees, block, threshold, seed)
-        hits += int(np.count_nonzero(hit))
+        hits += int(np.count_nonzero(hit) if weight is None else weight[hit].sum())
         checked.extend((block[i], bool(hit[i]), chunk)
                        for i in range((-lo) % check_every, n, check_every))
     # one batched reference and one batched point probe over the checked
@@ -255,21 +313,7 @@ def singular_membership(F: MultiPoly) -> SingularMembership:
 
 def _all_coeff_rows(q: int, n: int) -> np.ndarray:
     """All q^n coefficient vectors, little-endian in the row index."""
-    idx = np.arange(q**n, dtype=np.int64)
-    out = np.zeros((q**n, n), dtype=np.uint16)
-    for j in range(n):
-        out[:, j] = (idx // (q**j)) % q
-    return out
-
-
-def _scalar_representatives(field: Field, r: int, d: int):
-    """One representative per scalar class of nonzero forms: the first
-    nonzero coefficient is normalized to 1."""
-    one = field.one
-    for coeffs in _all_coeff_rows(field.q, n_monomials(r, d))[1:]:
-        first = int(coeffs[np.flatnonzero(coeffs)[0]])
-        if first == one:
-            yield MultiPoly(field, r, d, coeffs)
+    return _digits(np.arange(q**n, dtype=np.int64), q, n)
 
 
 @lru_cache(maxsize=8)
@@ -286,16 +330,18 @@ def repeated_factor_keys(field: Field, r: int, ell: int) -> frozenset[bytes]:
     q = field.q
     cost = 0
     for h in range(1, ell // 2 + 1):
-        reps = (q ** n_monomials(r, h) - 1) // (q - 1)
+        reps = _n_classes(q, n_monomials(r, h)) - 1
         cost += reps * (q ** n_monomials(r, ell - 2 * h))
-        cost += q ** n_monomials(r, h)
     if cost > MARKED_SET_BUDGET:
         raise BudgetError(f"repeated-factor enumeration needs ~{cost} steps, over budget")
 
     marked: set[bytes] = set()
     for h in range(1, ell // 2 + 1):
         all_g = _all_coeff_rows(q, n_monomials(r, ell - 2 * h))
-        for H in _scalar_representatives(field, r, h):
+        # one H per scaling class is enough: lambda H gives H^2 (lambda^2 G)
+        n = n_monomials(r, h)
+        for coeffs in _class_rows(q, n, np.arange(1, _n_classes(q, n))):
+            H = MultiPoly(field, r, h, coeffs)
             # G -> H^2 * G is linear, its matrix the degree-ell Macaulay
             # matrix of H^2
             square = macaulay_stack(1, r, ell, [2 * h], [(H * H).coeffs[None]])[0]

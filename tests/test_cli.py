@@ -161,6 +161,10 @@ def test_argument_errors_exit_2(capsys):
      "--trials", "-5"),
     ("oracle", "singular", "--r", "2", "--ell", "3", "--mode", "sampled",
      "--trials", "0"),
+    ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--field", "3", "--mode",
+     "exhaustive", "--trials", "5"),
+    ("oracle", "singular", "--r", "2", "--ell", "3", "--mode", "exhaustive",
+     "--trials", "5"),
     ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--threads", "2"),
     ("oracle", "singular", "--r", "2", "--ell", "3", "--threads", "2"),
     # every crosscheck sample is over budget here, so no point probe runs

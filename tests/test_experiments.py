@@ -16,7 +16,9 @@ from excodim.fforacle.experiments import (
     DEFAULT_SEED,
     _all_coeff_rows,
     _chunk_rng,
-    _scalar_representatives,
+    _class_block,
+    _class_rows,
+    _n_classes,
     _singular_generators,
     excess_experiment,
     poonen_combine,
@@ -28,7 +30,7 @@ from excodim.fforacle.experiments import (
 )
 from excodim.fforacle.fields import gf, parse_field
 from excodim.fforacle.hilbert import batch_dim_at_least, dim_at_least, projective_dim_hilbert
-from excodim.fforacle.linalg import matrix_rank
+from excodim.fforacle.linalg import batch_rank, matrix_rank
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line, poly_to_line
 
@@ -58,6 +60,71 @@ def test_excess_exhaustive_linear_pairs_closed_form(q):
     # row up to scale
     res = excess_experiment(2, (1, 1), 1, parse_field(str(q)), mode="exhaustive")
     assert (res.trials, res.hits) == (q**6, 1 + (q**2 - 1) * (q**3 - 1) // (q - 1))
+
+
+def _plain_hits(r, degrees, a, field):
+    """Hits among all q^total tuples, decided chunk by chunk on the plain
+    base-q block with the experiment's own tests and seed."""
+    dims = [n_monomials(r, d) for d in degrees]
+    rows, s = _all_coeff_rows(field.q, sum(dims)), r - len(degrees) + a
+    hits = 0
+    for lo in range(0, len(rows), CHUNK):
+        block = rows[lo:lo + CHUNK]
+        if set(degrees) == {1}:
+            hit = r - batch_rank(field, block.reshape(len(block), len(degrees), r + 1)) >= s
+        else:
+            hit = batch_dim_at_least(field, r, degrees, block, s, DEFAULT_SEED)
+        hits += int(np.count_nonzero(hit))
+    return hits
+
+
+@pytest.mark.parametrize("r, degrees, a, q", [
+    *[(2, (1, 1), a, q) for q in (3, 4, 7, 9) for a in (1, 2)],
+    (3, (1, 1, 1), 1, 3),
+    (2, (2,), 1, 3),
+    (1, (1, 2), 1, 4),
+])
+def test_exhaustive_orbit_walk_counts_every_tuple(r, degrees, a, q):
+    # one tuple per scaling orbit, weighted by the orbit's size, gives the
+    # count of the plain enumeration
+    field = parse_field(str(q))
+    res = excess_experiment(r, degrees, a, field, mode="exhaustive")
+    total = sum(n_monomials(r, d) for d in degrees)
+    assert (res.trials, res.hits) == (q**total, _plain_hits(r, degrees, a, field))
+
+
+@pytest.mark.parametrize("q, dims", [(3, (3, 3)), (4, (3, 2)), (5, (1, 3)), (9, (2, 2, 1))])
+def test_class_block_is_one_tuple_per_orbit(q, dims):
+    field = parse_field(str(q))
+    rows = math.prod(_n_classes(q, n) for n in dims)
+    block, weight = _class_block(q, dims, 0, rows)
+    assert weight.sum() == q ** sum(dims)
+    assert len({row.tobytes() for row in block}) == rows
+    ends = np.cumsum(dims)[:-1]
+    for form in (f for row in block for f in np.split(row, ends)):
+        nonzero = np.flatnonzero(form)
+        assert len(nonzero) == 0 or form[nonzero[-1]] == field.one
+    # each tuple, its forms scaled to top coefficient one, lands on a row,
+    # and each row on as many tuples as its weight
+    orbits = {}
+    for row in _all_coeff_rows(q, sum(dims)):
+        forms = []
+        for form in np.split(row, ends):
+            nonzero = np.flatnonzero(form)
+            scale = field.INV[form[nonzero[-1]]] if len(nonzero) else field.one
+            forms.append(field.MUL[scale, form])
+        key = np.concatenate(forms).astype(np.uint16).tobytes()
+        orbits[key] = orbits.get(key, 0) + 1
+    assert orbits == {row.tobytes(): int(w) for row, w in zip(block, weight)}
+    # chunks of the walk are slices of it
+    assert np.array_equal(_class_block(q, dims, 7, 20)[0], block[7:27])
+
+
+def test_class_block_over_gf2_is_the_plain_decode():
+    for dims in ((3, 3), (4,), (1, 2, 3)):
+        block, weight = _class_block(2, dims, 0, 2 ** sum(dims))
+        assert np.array_equal(block, _all_coeff_rows(2, sum(dims)))
+        assert (weight == 1).all()
 
 
 def test_excess_sampled_linear_matches_row_by_row():
@@ -119,6 +186,16 @@ def test_excess_budget_guards():
             excess_experiment(2, (1, 1), 1, gf(2), mode="sampled", trials=trials)
         with pytest.raises(ParameterError):
             singular_experiment(2, 3, gf(2), mode="sampled", trials=trials)
+
+
+def test_exhaustive_mode_refuses_trials():
+    # every tuple is examined, so a trial count would be silently ignored
+    with pytest.raises(ParameterError, match="trials cannot be set"):
+        excess_experiment(2, (1, 1), 1, gf(3), mode="exhaustive", trials=5)
+    for r in (2, 3):
+        with pytest.raises(ParameterError, match="trials cannot be set"):
+            singular_experiment(r, 3, gf(2), mode="exhaustive", trials=5)
+    assert excess_experiment(2, (1, 1), 1, gf(3), mode="auto", trials=5).trials == 3**6
 
 
 def test_bad_mode_seed_and_m_max_raise_before_any_work():
@@ -221,7 +298,8 @@ def test_line_component_dominates_in_the_plane():
         marked = repeated_factor_keys(field, 2, ell)
         line_keys = set()
         all_g = _all_coeff_rows(2, n_monomials(2, ell - 2))
-        for H in _scalar_representatives(field, 2, 1):
+        for coeffs in _class_rows(2, 3, np.arange(1, _n_classes(2, 3))):
+            H = MultiPoly(field, 2, 1, coeffs)
             H2 = H * H
             for row in all_g:
                 G = MultiPoly(field, 2, ell - 2, row)

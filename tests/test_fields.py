@@ -74,6 +74,12 @@ def test_prime_field_codes_are_residues():
     assert f.from_int(12) == 2
 
 
+@pytest.mark.parametrize("p, e", ALL_FIELDS)
+def test_one_is_code_1(p, e):
+    # the exhaustive walk's class representatives have top coefficient code 1
+    assert gf(p, e).one == 1
+
+
 def test_from_int_respects_characteristic():
     f4 = gf(2, 2)
     assert f4.from_int(2) == 0
