@@ -6,6 +6,16 @@ codimension and can confront the closed-form predictions.  Sampling is
 counter-based (one Philox stream per fixed-size chunk), so results depend
 only on the seed and configuration.
 
+Both experiments, the excess-intersection locus and the locus of forms with
+a positive-dimensional singular locus, are this one estimator and share
+one code path.  ``_plan`` is the mode and budget policy: the
+exhaustive cap is MAX_EXHAUSTIVE when each decision is cheap (linear
+tuples, or plane curves looked up in a set) and SLOW_EXHAUSTIVE_LIMIT
+otherwise; auto mode runs exhaustive under it, and an exhaustive run over
+it raises BudgetError.  ``_walk`` is the chunk loop: it makes one
+``decide`` call per chunk, sums the weighted hits and keeps every few rows
+for the crosscheck.
+
 Both loci are cones: V(c_1 g_1, ..., c_k g_k) = V(g_1, ..., g_k) for nonzero
 scalars c_i, and every test below (the linear rank, the section test, the
 Hilbert window and the point count) gives the same decision on each tuple
@@ -23,19 +33,20 @@ loop builds a ``MultiPoly`` per sample.  Linear excess tuples are ranked as
 one (n, k, r + 1) stack by ``batch_rank``.  Every other block is decided by
 the linear-section test, one ``batch_dim_at_least`` call per chunk: a
 nonlinear excess block as drawn, and beyond the plane the singular block
-[F | dF/dX_0 | ... | dF/dX_r], its partials taken by ``partial_rows``.  A plane
-curve is looked up in the exact set of forms with a repeated factor, built
-by ``repeated_factor_keys`` with one ``rows_times`` product per square H^2
-that multiplies every cofactor G at once; H runs over one form per scaling
-class, from the same class walk.
+[F | dF/dX_0 | ... | dF/dX_r] of ``_singular_block``, its partials taken by
+``partial_rows``.  A plane curve is looked up in the exact set of forms with
+a repeated factor, built by ``repeated_factor_keys`` with one
+``rows_times`` product per square H^2 that multiplies every cofactor G at
+once; H runs over one form per scaling class, from the same class walk.  An
+exhaustive plane run counts that set and walks nothing.
 
 For odd ell the singular samples leave F out.  Euler's relation
 ell * F = sum_i X_i dF/dX_i puts F in the ideal of its partials whenever the
 characteristic does not divide ell, so V(F, dF) = V(dF) and the decision is
 the same, on a smaller system: for ell = 3 over GF(2) the sections rank
 24 x 15 matrices in degree 4 in place of 46 x 21 in degree 5.  For even ell
-F stays.  ``singular_membership``, the Hilbert reference that checks the
-plane's repeated-factor set, always keeps F, so that it stays independent.
+F stays.  The Hilbert reference that checks the plane's repeated-factor set
+always keeps F, so that it stays independent.
 
 In an excess run about CROSSCHECK_SAMPLES evenly spaced samples (orbit
 representatives in exhaustive mode) are also checked against two
@@ -45,12 +56,16 @@ a positive Hilbert dimension.  After the last chunk, one
 ``batch_projective_dim_hilbert`` call on the block of their rows gives all
 their dimensions, and one ``batch_projective_dim_points`` call on the rows
 whose window fits gives all their point counts; the samples are then
-compared one by one in sample order.  A failed check raises
-``InvariantError`` naming the first failing sample as ``poly_to_line``
-lines with its seed and chunk, so it can be replayed.  The window of a
-sample can go over the matrix budget (from r = 4 on it mostly does); the
-reference gives None for such a sample, which is neither probed nor
-checked, and the result counts it in ``crosscheck_skipped``.
+compared one by one in sample order.  The window of a sample can go over
+the matrix budget (from r = 4 on it mostly does); the reference gives None
+for such a sample, which is neither probed nor checked, and the result
+counts it in ``crosscheck_skipped``.  A plane singular run checks
+VERIFY_SAMPLES forms the same way, half spaced through its repeated-factor
+set and half drawn from Philox stream 2^31, with one batched reference call
+on their [F | partials] block; there a window over budget raises
+BudgetError.  Both checks compare through ``_crosscheck_sample``.  A failed
+check raises ``InvariantError`` naming the first failing sample as
+``poly_to_line`` lines with its seed and chunk, so it can be replayed.
 
 The mode, trials, seed and m_max are checked before any work; a bad value,
 or trials given to exhaustive mode, raises ParameterError.
@@ -59,7 +74,6 @@ or trials given to exhaustive mode, raises ParameterError.
 from __future__ import annotations
 
 import math
-import time
 from functools import lru_cache
 from dataclasses import dataclass
 
@@ -104,7 +118,6 @@ class ExperimentResult:
     est_codim: float | None
     predicted_codim: int
     status: str
-    runtime_s: float
     degrees: tuple[int, ...] | None = None
     ell: int | None = None
     a: int | None = None
@@ -115,21 +128,28 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
-def _chunks(trials: int):
-    """(index, first sample, size) of each CHUNK-sized chunk of a run."""
-    for lo in range(0, trials, CHUNK):
-        yield lo // CHUNK, lo, min(CHUNK, trials - lo)
-
-
-def _check_run(mode: str, trials: int | None, seed: int):
-    """The checks every experiment makes of its mode, trials and seed."""
+def _plan(mode: str, trials: int | None, q: int, total: int, cheap: bool,
+          default: int) -> tuple[str, int]:
+    """The mode and trials of a run over q^total tuples, after checking the
+    given ones.  The exhaustive cap is MAX_EXHAUSTIVE when each decision is
+    cheap and SLOW_EXHAUSTIVE_LIMIT otherwise: auto mode runs exhaustive
+    under it, and an exhaustive run over it raises BudgetError.  A sampled
+    run decides ``trials`` tuples, ``default`` when none are given."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
     if trials is not None and mode == "exhaustive":
         raise ParameterError("exhaustive mode examines every tuple; trials cannot be set")
-    check_seed(seed)
+    space, cap = q**total, MAX_EXHAUSTIVE if cheap else SLOW_EXHAUSTIVE_LIMIT
+    if mode == "auto":
+        mode = "exhaustive" if space <= cap else "sampled"
+    if mode == "sampled":
+        return mode, default if trials is None else trials
+    if space > cap:
+        raise BudgetError(f"exhaustive run over {q}^{total} tuples is over budget "
+                          f"(cap {cap}); use sampled mode")
+    return mode, space
 
 
 def _digits(values: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -170,35 +190,60 @@ def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(forms, axis=1), (q - 1) ** live
 
 
+def _walk(mode: str, q: int, dims, trials: int, seed: int, decide) -> tuple[int, list]:
+    """Decide every sample of a run, one CHUNK-sized block at a time: the
+    class walk with its orbit weights in exhaustive mode, the chunk's Philox
+    draws in sampled mode.  ``decide`` maps a block to its bool decisions.
+    Returns the weighted hits and the (row, decision, chunk) of every
+    samples // CROSSCHECK_SAMPLES-th sample, for the crosscheck."""
+    exhaustive = mode == "exhaustive"
+    samples = math.prod(_n_classes(q, size) for size in dims) if exhaustive else trials
+    check_every = max(1, samples // CROSSCHECK_SAMPLES)
+    hits, checked = 0, []
+    for lo in range(0, samples, CHUNK):
+        chunk, n = lo // CHUNK, min(CHUNK, samples - lo)
+        if exhaustive:
+            block, weight = _class_block(q, dims, lo, n)
+        else:
+            block = _chunk_rng(seed, chunk).integers(0, q, size=(n, sum(dims)), dtype=np.uint16)
+        hit = decide(block)
+        hits += int(weight[hit].sum() if exhaustive else np.count_nonzero(hit))
+        checked.extend((block[i], bool(hit[i]), chunk)
+                       for i in range((-lo) % check_every, n, check_every))
+    return hits, checked
+
+
 def _estimate(hits: int, trials: int, q: int) -> tuple[float | None, str]:
     if hits == 0:
         return None, "inconclusive"
     return (math.log(trials) - math.log(hits)) / math.log(q), "ok"
 
 
-def _replay_note(generators, seed: int, chunk: int) -> str:
-    """The sample as exchange-format lines, with the seed and chunk that
-    produced it."""
-    lines = "\n".join(poly_to_line(g) for g in generators)
+def _replay_note(field: Field, r: int, degrees, row: np.ndarray, seed: int, chunk: int) -> str:
+    """The sample's forms as exchange-format lines, with the seed and chunk
+    that produced it."""
+    forms = np.split(row, np.cumsum([n_monomials(r, d) for d in degrees])[:-1])
+    lines = "\n".join(poly_to_line(MultiPoly(field, r, d, c)) for d, c in zip(degrees, forms))
     return f"seed {seed}, chunk {chunk}, generators:\n{lines}"
 
 
-def _crosscheck_sample(generators, s: int, hit: bool, hil: int, probe: PointProbe | None,
-                       seed: int, chunk: int):
-    """Independent-detector agreement for one sample: its Hilbert-window
-    dimension hil must give the same decision dim >= s, and a conclusive
-    positive point count (probe, None when no extension fits the point
-    budget) must be matched by it, or the run dies naming the sample."""
+def _crosscheck_sample(field: Field, r: int, degrees, row: np.ndarray, seed: int, chunk: int,
+                       s: int, hit: bool, hil: int, probe: PointProbe | None):
+    """Independent-detector agreement for one sample, the coefficient row of
+    forms of the given degrees: its Hilbert-window dimension hil must give
+    the same decision dim >= s, and a conclusive positive point count
+    (probe, None when no extension fits the point budget or none was taken)
+    must be matched by it, or the run dies naming the sample."""
     if (hil >= s) != hit:
         raise InvariantError(
             f"the sample's decision dim >= {s} is {hit} but the Hilbert detector "
-            f"gives dimension {hil}; {_replay_note(generators, seed, chunk)}"
+            f"gives dimension {hil}; {_replay_note(field, r, degrees, row, seed, chunk)}"
         )
     if probe is not None and probe.positive_dimensional and hil < 1:
         raise InvariantError(
             f"point count {probe.counts} exceeds cutoff {probe.cutoff} but the "
             f"Hilbert detector gives dimension {hil}; "
-            f"{_replay_note(generators, seed, chunk)}"
+            f"{_replay_note(field, r, degrees, row, seed, chunk)}"
         )
 
 
@@ -211,12 +256,11 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     Exhaustive mode counts all q^total tuples exactly but decides one tuple
     per scaling orbit, and takes no ``trials``; sampled mode decides
     ``trials`` seeded tuples (20000 by default)."""
-    start = time.perf_counter()
     degrees = tuple(degrees)
     k = len(degrees)
     if a < 1:
         raise ParameterError(f"need a >= 1, got {a}")
-    _check_run(mode, trials, seed)
+    check_seed(seed)
     if not 1 <= m_max <= 3:
         raise ParameterError(f"need 1 <= m_max <= 3, got {m_max}")
     threshold = r - k + a
@@ -226,48 +270,17 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
 
     q = field.q
     dims = [n_monomials(r, d) for d in degrees]
-    total = sum(dims)
-    space = q**total
     linear = all(d == 1 for d in degrees)
+    mode, trials = _plan(mode, trials, q, sum(dims), linear, 20_000)
 
-    if mode == "auto":
-        feasible = space <= MAX_EXHAUSTIVE and (linear or space <= SLOW_EXHAUSTIVE_LIMIT)
-        mode = "exhaustive" if feasible else "sampled"
-    if mode == "exhaustive":
-        if space > MAX_EXHAUSTIVE:
-            raise BudgetError(
-                f"state space {q}^{total} exceeds the exhaustive cap {MAX_EXHAUSTIVE}"
-            )
-        if space > SLOW_EXHAUSTIVE_LIMIT and not linear:
-            raise BudgetError(
-                f"exhaustive run over {q}^{total} tuples with per-sample rank "
-                f"detection is over budget; use sampled mode"
-            )
-        # scaling a form leaves its locus alone, so one tuple per orbit is
-        # decided and counted with its orbit's size
-        trials = space
-        samples = math.prod(_n_classes(q, size) for size in dims)
-    else:
-        trials = samples = 20_000 if trials is None else trials
-
-    check_every = max(1, samples // CROSSCHECK_SAMPLES)
-    hits = 0
-    checked = []  # (coefficient row, decision, chunk) of the samples due a crosscheck
-    for chunk, lo, n in _chunks(samples):
-        weight = None
-        if mode == "exhaustive":
-            block, weight = _class_block(q, dims, lo, n)
-        else:
-            block = _chunk_rng(seed, chunk).integers(0, q, size=(n, total), dtype=np.uint16)
+    def decide(block):
         if linear:
             # the k x (r+1) coefficient matrix of a linear tuple cuts out a
             # linear space of projective dimension r - rank
-            hit = r - batch_rank(field, block.reshape(n, k, r + 1)) >= threshold
-        else:
-            hit = batch_dim_at_least(field, r, degrees, block, threshold, seed)
-        hits += int(np.count_nonzero(hit) if weight is None else weight[hit].sum())
-        checked.extend((block[i], bool(hit[i]), chunk)
-                       for i in range((-lo) % check_every, n, check_every))
+            return r - batch_rank(field, block.reshape(len(block), k, r + 1)) >= threshold
+        return batch_dim_at_least(field, r, degrees, block, threshold, seed)
+
+    hits, checked = _walk(mode, q, dims, trials, seed, decide)
     # one batched reference and one batched point probe over the checked
     # samples, compared in sample order, so the first disagreeing sample is
     # the one named; a sample whose window is over budget (None) is skipped
@@ -275,18 +288,15 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     hil_dims = batch_projective_dim_hilbert(field, r, degrees, rows)
     fits = [i for i, hil in enumerate(hil_dims) if hil is not None]
     probes = batch_projective_dim_points(field, r, degrees, rows[fits], m_max)
-    ends = np.cumsum(dims)[:-1]  # where each form's coefficients end in a row
     for i, probe in zip(fits, probes):
         row, hit, chunk = checked[i]
-        gens = [MultiPoly(field, r, d, c) for d, c in zip(degrees, np.split(row, ends))]
-        _crosscheck_sample(gens, threshold, hit, hil_dims[i], probe, seed, chunk)
+        _crosscheck_sample(field, r, degrees, row, seed, chunk, threshold, hit, hil_dims[i], probe)
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(
         kind="excess", q=q, r=r, degrees=degrees, a=a, mode=mode,
         trials=trials, hits=hits, seed=seed, est_codim=est,
-        predicted_codim=predicted, status=status,
-        runtime_s=time.perf_counter() - start, crosscheck_skipped=hil_dims.count(None),
+        predicted_codim=predicted, status=status, crosscheck_skipped=hil_dims.count(None),
     )
 
 
@@ -309,6 +319,14 @@ def singular_membership(F: MultiPoly) -> SingularMembership:
     gens = [g for g in _singular_generators(F) if not g.is_zero]
     dim = r if not gens else projective_dim_hilbert(gens, field=field, r=r)
     return SingularMembership(sing_dim=dim)
+
+
+def _singular_block(field: Field, r: int, ell: int, rows: np.ndarray,
+                    skip: int) -> tuple[list[int], np.ndarray]:
+    """The degrees and the block [F | dF/dX_0 | ... | dF/dX_r] of the
+    degree-ell forms F in rows, with its first ``skip`` forms left out."""
+    forms = [rows] + [partial_rows(field, r, ell, i, rows) for i in range(r + 1)]
+    return ([ell] + [ell - 1] * (r + 1))[skip:], np.concatenate(forms[skip:], axis=1)
 
 
 def _all_coeff_rows(q: int, n: int) -> np.ndarray:
@@ -354,88 +372,63 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
                         seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Estimate the codimension of the degree-ell forms whose singular locus
     is positive-dimensional, against the singular-line prediction."""
-    start = time.perf_counter()
     if field.p != 2:
         raise ParameterError("the singular experiment runs over characteristic 2")
     if r < 2 or ell < 3:
         raise ParameterError(f"need r >= 2 and ell >= 3, got r={r}, ell={ell}")
-    _check_run(mode, trials, seed)
+    check_seed(seed)
     predicted = singular_line_codim(r, ell)
     q = field.q
     n = n_monomials(r, ell)
-    space = q**n
+    mode, trials = _plan(mode, trials, q, n, r == 2, 1_000_000 if r == 2 else 2_000)
 
     if r == 2:
         marked = repeated_factor_keys(field, r, ell)
-        if mode == "auto":
-            mode = "exhaustive" if space <= MAX_EXHAUSTIVE else "sampled"
         if mode == "exhaustive":
-            if space > MAX_EXHAUSTIVE:
-                raise BudgetError(f"state space {q}^{n} exceeds the exhaustive cap")
-            trials = space
-            hits = len(marked)
+            hits = len(marked)  # the set is the exhaustive count
         else:
-            if trials is None:
-                trials = 1_000_000
-            hits = 0
-            for chunk, _, m in _chunks(trials):
-                rows = _chunk_rng(seed, chunk).integers(0, q, size=(m, n), dtype=np.uint16)
-                hits += sum(1 for row in rows if row.tobytes() in marked)
-
+            hits, _ = _walk(mode, q, [n], trials, seed,
+                            lambda rows: np.array([row.tobytes() in marked for row in rows]))
         _verify_marked(field, r, ell, marked, seed)
     else:
         # no squarefree shortcut beyond the plane: the section test on F and
-        # its partials decides dim Sing(F) >= 1, one chunk per call
-        if mode == "exhaustive":
-            # characteristic 2 with r >= 3 and ell >= 3 gives at least 2^20
-            # forms, always above SLOW_EXHAUSTIVE_LIMIT
-            raise BudgetError(f"exhaustive singular run over {q}^{n} forms is over budget")
-        mode = "sampled"
-        if trials is None:
-            trials = 2_000
-        hits = 0
-        # Euler's relation puts F in the ideal of its partials unless the
-        # characteristic divides ell; F is then left out
+        # its partials decides dim Sing(F) >= 1.  Euler's relation puts F in
+        # the ideal of its partials unless the characteristic divides ell;
+        # F is then left out
         skip = 1 if ell % field.p else 0
-        degrees = ([ell] + [ell - 1] * (r + 1))[skip:]
-        for chunk, _, m in _chunks(trials):
-            rows = _chunk_rng(seed, chunk).integers(0, q, size=(m, n), dtype=np.uint16)
-            forms = [rows] + [partial_rows(field, r, ell, i, rows) for i in range(r + 1)]
-            block = np.concatenate(forms[skip:], axis=1)
-            hits += int(np.count_nonzero(batch_dim_at_least(field, r, degrees, block, 1, seed)))
+
+        def decide(rows):
+            degrees, block = _singular_block(field, r, ell, rows, skip)
+            return batch_dim_at_least(field, r, degrees, block, 1, seed)
+
+        hits, _ = _walk(mode, q, [n], trials, seed, decide)
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(
         kind="singular", q=q, r=r, ell=ell, mode=mode,
         trials=trials, hits=hits, seed=seed, est_codim=est,
         predicted_codim=predicted, status=status,
-        runtime_s=time.perf_counter() - start,
     )
 
 
 def _verify_marked(field: Field, r: int, ell: int, marked: frozenset[bytes], seed: int):
-    """Spot-check the repeated-factor set against the rank detector."""
-    n = n_monomials(r, ell)
-    picks: list[bytes] = []
+    """Spot-check the repeated-factor set against the Hilbert reference, on
+    forms spaced through the set and forms drawn from Philox stream 2^31,
+    with one batched call on their [F | partials] block.  A form whose
+    window is over budget raises BudgetError: the check cannot pass on it."""
+    half = VERIFY_SAMPLES // 2
     inside = sorted(marked)
-    step = max(1, len(inside) // (VERIFY_SAMPLES // 2))
-    picks.extend(inside[::step][: VERIFY_SAMPLES // 2])
-    rng = _chunk_rng(seed, 2**31)
-    rows = rng.integers(0, field.q, size=(VERIFY_SAMPLES - len(picks), n), dtype=np.uint16)
-    picks.extend(row.tobytes() for row in rows)
-    for key in picks:
-        coeffs = np.frombuffer(key, dtype=np.uint16)
-        F = MultiPoly(field, r, ell, coeffs)
-        if F.is_zero:
-            continue
-        expected = key in marked
-        got = singular_membership(F).sing_dim >= 1
-        if expected != got:
-            raise InvariantError(
-                f"repeated-factor set says {expected} but the Hilbert detector says "
-                f"{got} (seed {seed}) on the form\n"
-                f"{poly_to_line(F)}"
-            )
+    picks = [np.frombuffer(key, dtype=np.uint16)
+             for key in inside[::max(1, len(inside) // half)][:half]]
+    size = (VERIFY_SAMPLES - len(picks), n_monomials(r, ell))
+    drawn = _chunk_rng(seed, 2**31).integers(0, field.q, size=size, dtype=np.uint16)
+    rows = np.concatenate([picks, drawn])
+    degrees, block = _singular_block(field, r, ell, rows, 0)
+    for row, dim in zip(rows, batch_projective_dim_hilbert(field, r, degrees, block)):
+        if dim is None:
+            raise BudgetError(f"the Hilbert window of a degree-{ell} plane form is over budget")
+        hit = row.tobytes() in marked
+        _crosscheck_sample(field, r, [ell], row, seed, 2**31, 1, hit, dim, None)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from excodim import cli
 from excodim.errors import BudgetError, InvariantError, ParameterError
-from excodim.fforacle import experiments
+from excodim.fforacle import experiments, hilbert
 from excodim.fforacle.experiments import (
     CHUNK,
     DEFAULT_SEED,
@@ -168,12 +168,9 @@ def test_excess_sampled_mode_runs_and_is_seeded():
     res = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=600, seed=7)
     again = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=600, seed=7)
 
-    def key(result):
-        return dataclasses.replace(result, runtime_s=0.0)
-
-    assert key(res) == key(again)
+    assert res == again
     other = excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=600, seed=8)
-    assert other.hits != res.hits or key(other) != key(res)
+    assert other != res
 
 
 def test_excess_budget_guards():
@@ -186,6 +183,30 @@ def test_excess_budget_guards():
             excess_experiment(2, (1, 1), 1, gf(2), mode="sampled", trials=trials)
         with pytest.raises(ParameterError):
             singular_experiment(2, 3, gf(2), mode="sampled", trials=trials)
+
+
+@pytest.mark.parametrize("run, planned", [
+    (lambda: excess_experiment(2, (1, 1, 1), 1, gf(3)), ("exhaustive", 19683)),
+    (lambda: excess_experiment(2, (2, 2), 1, gf(2)), ("exhaustive", 4096)),
+    (lambda: excess_experiment(2, (1, 2), 1, gf(3)), ("sampled", 20000)),
+    (lambda: excess_experiment(3, (2, 2), 1, gf(2), mode="exhaustive"), BudgetError),
+    (lambda: singular_experiment(2, 3, gf(2)), ("exhaustive", 1024)),
+    (lambda: singular_experiment(2, 5, gf(2)), ("exhaustive", 2**21)),
+    (lambda: singular_experiment(3, 3, gf(2)), ("sampled", 2000)),
+    (lambda: singular_experiment(3, 3, gf(2), mode="exhaustive"), BudgetError),
+], ids=["excess-linear", "excess-slow-cap", "excess-over-slow-cap", "excess-exhaustive-over",
+        "plane-small", "plane-over-slow-cap", "singular-space-auto", "singular-space-exhaustive"])
+def test_mode_policy(run, planned):
+    # auto runs exhaustive under the cap, MAX_EXHAUSTIVE when each decision
+    # is cheap (linear tuples, plane curves looked up in the repeated-factor
+    # set) and SLOW_EXHAUSTIVE_LIMIT otherwise; an exhaustive run over its
+    # cap is a budget error, exit 3
+    if planned is BudgetError:
+        with pytest.raises(BudgetError):
+            run()
+    else:
+        res = run()
+        assert (res.mode, res.trials) == planned
 
 
 def test_exhaustive_mode_refuses_trials():
@@ -545,6 +566,30 @@ def test_crosscheck_point_probe_failure_names_the_sample(monkeypatch):
     assert message.endswith("\n".join(poly_to_line(g) for g in gens))
     got_seed, chunk, replayed = replayed_sample(message)
     assert (got_seed, chunk, replayed) == (seed, 1, gens)
+
+
+def test_plane_spot_check_over_budget_raises(monkeypatch):
+    # a spot-checked form whose Hilbert window is over budget cannot pass
+    monkeypatch.setattr(hilbert, "MAX_MATRIX_ENTRIES", 10)
+    with pytest.raises(BudgetError):
+        singular_experiment(2, 3, gf(2), mode="exhaustive")
+
+
+def test_plane_spot_check_failure_names_the_form(monkeypatch):
+    # the reference turns wrong on the forms drawn from stream 2^31: the
+    # first of them is named, and replays to a form that it misjudges
+    half = experiments.VERIFY_SAMPLES // 2
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert",
+                        wrong_reference_from(half, 2))
+    with pytest.raises(InvariantError) as err:
+        singular_experiment(2, 3, gf(2), mode="exhaustive")
+    message = str(err.value)
+    seed, chunk, [F] = replayed_sample(message)
+    assert (seed, chunk) == (DEFAULT_SEED, 2**31)
+    drawn = _chunk_rng(DEFAULT_SEED, 2**31).integers(0, 2, size=(half, 10), dtype=np.uint16)
+    assert F.coeffs.tolist() == drawn[0].tolist()
+    wrong = int(re.search(r"gives dimension (-?\d+)", message).group(1))
+    assert (singular_membership(F).sing_dim >= 1) != (wrong >= 1)
 
 
 @pytest.mark.parametrize("degrees, mode, hits, checked, skipped", [
