@@ -35,10 +35,10 @@ the linear-section test, one ``batch_dim_at_least`` call per chunk: a
 nonlinear excess block as drawn, and beyond the plane the singular block
 [F | dF/dX_0 | ... | dF/dX_r] of ``_singular_block``, its partials taken by
 ``partial_rows``.  A plane curve is looked up in the exact set of forms with
-a repeated factor, built by ``repeated_factor_keys`` with one
-``rows_times`` product per square H^2 that multiplies every cofactor G at
-once; H runs over one form per scaling class, from the same class walk.  An
-exhaustive plane run counts that set and walks nothing.
+a repeated factor, the sorted base-q values of their rows, built by
+``repeated_factor_keys`` with one ``rows_times`` product per square H^2 that
+multiplies every cofactor G at once; H runs over one form per scaling class,
+from the same class walk.  An exhaustive plane run counts that set.
 
 For odd ell the singular samples leave F out.  Euler's relation
 ell * F = sum_i X_i dF/dX_i puts F in the ideal of its partials whenever the
@@ -87,13 +87,12 @@ from .hilbert import (
     batch_dim_at_least,
     batch_projective_dim_hilbert,
     check_seed,
-    macaulay_stack,
     projective_dim_hilbert,
     restriction_map,
 )
 from .linalg import batch_rank, matrix_rank, rows_times
 from .points import PointProbe, batch_projective_dim_points
-from .polynomials import MultiPoly, n_monomials, partial_rows, poly_to_line
+from .polynomials import MultiPoly, macaulay_stack, n_monomials, partial_rows, poly_to_line
 
 DEFAULT_SEED = 271828
 CHUNK = 4096
@@ -334,10 +333,21 @@ def _all_coeff_rows(q: int, n: int) -> np.ndarray:
     return _digits(np.arange(q**n, dtype=np.int64), q, n)
 
 
+def _row_keys(q: int, rows: np.ndarray) -> np.ndarray:
+    """The uint64 base-q value of each row, the inverse of ``_digits``."""
+    return rows.astype(np.uint64) @ np.uint64(q) ** np.arange(rows.shape[1], dtype=np.uint64)
+
+
+def _is_marked(marked: np.ndarray, q: int, rows: np.ndarray) -> np.ndarray:
+    """Whether each row's key is in the sorted, nonempty keys marked."""
+    keys = _row_keys(q, rows)
+    return marked[np.minimum(np.searchsorted(marked, keys), marked.size - 1)] == keys
+
+
 @lru_cache(maxsize=8)
-def repeated_factor_keys(field: Field, r: int, ell: int) -> frozenset[bytes]:
-    """Coefficient keys of every degree-ell form divisible by the square of a
-    positive-degree form (the zero form included).
+def repeated_factor_keys(field: Field, r: int, ell: int) -> np.ndarray:
+    """The sorted, read-only ``_row_keys`` of every degree-ell form divisible
+    by the square of a positive-degree form (the zero form, key 0, included).
 
     In the plane this is exactly the positive-dimensional-singular-locus set:
     the partials of H^2*G are all divisible by H, so V(H) is singular on
@@ -346,6 +356,8 @@ def repeated_factor_keys(field: Field, r: int, ell: int) -> frozenset[bytes]:
     property.  The enumeration is capped at MARKED_SET_BUDGET steps.
     """
     q = field.q
+    if q ** n_monomials(r, ell) >= 2**64:
+        raise BudgetError(f"degree-{ell} forms over GF({q}) have keys over 64 bits")
     cost = 0
     for h in range(1, ell // 2 + 1):
         reps = _n_classes(q, n_monomials(r, h)) - 1
@@ -353,7 +365,7 @@ def repeated_factor_keys(field: Field, r: int, ell: int) -> frozenset[bytes]:
     if cost > MARKED_SET_BUDGET:
         raise BudgetError(f"repeated-factor enumeration needs ~{cost} steps, over budget")
 
-    marked: set[bytes] = set()
+    keys = []
     for h in range(1, ell // 2 + 1):
         all_g = _all_coeff_rows(q, n_monomials(r, ell - 2 * h))
         # one H per scaling class is enough: lambda H gives H^2 (lambda^2 G)
@@ -363,8 +375,10 @@ def repeated_factor_keys(field: Field, r: int, ell: int) -> frozenset[bytes]:
             # G -> H^2 * G is linear, its matrix the degree-ell Macaulay
             # matrix of H^2
             square = macaulay_stack(1, r, ell, [2 * h], [(H * H).coeffs[None]])[0]
-            marked.update(row.tobytes() for row in rows_times(field, all_g, square))
-    return frozenset(marked)
+            keys.append(_row_keys(q, rows_times(field, all_g, square)))
+    marked = np.unique(np.concatenate(keys))
+    marked.flags.writeable = False
+    return marked
 
 
 def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
@@ -385,10 +399,10 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     if r == 2:
         marked = repeated_factor_keys(field, r, ell)
         if mode == "exhaustive":
-            hits = len(marked)  # the set is the exhaustive count
+            hits = marked.size  # the set is the exhaustive count
         else:
             hits, _ = _walk(mode, q, [n], trials, seed,
-                            lambda rows: np.array([row.tobytes() in marked for row in rows]))
+                            lambda rows: _is_marked(marked, q, rows))
         _verify_marked(field, r, ell, marked, seed)
     else:
         # no squarefree shortcut beyond the plane: the section test on F and
@@ -411,23 +425,22 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     )
 
 
-def _verify_marked(field: Field, r: int, ell: int, marked: frozenset[bytes], seed: int):
+def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int):
     """Spot-check the repeated-factor set against the Hilbert reference, on
-    forms spaced through the set and forms drawn from Philox stream 2^31,
-    with one batched call on their [F | partials] block.  A form whose
+    forms spaced through its nonzero keys and forms drawn from Philox stream
+    2^31, with one batched call on their [F | partials] block.  A form whose
     window is over budget raises BudgetError: the check cannot pass on it."""
-    half = VERIFY_SAMPLES // 2
-    inside = sorted(marked)
-    picks = [np.frombuffer(key, dtype=np.uint16)
-             for key in inside[::max(1, len(inside) // half)][:half]]
-    size = (VERIFY_SAMPLES - len(picks), n_monomials(r, ell))
-    drawn = _chunk_rng(seed, 2**31).integers(0, field.q, size=size, dtype=np.uint16)
+    half, n = VERIFY_SAMPLES // 2, n_monomials(r, ell)
+    inside = marked[1:]  # key 0, the zero form, sorts first
+    picks = _digits(inside[::max(1, inside.size // half)][:half], field.q, n)
+    drawn = _chunk_rng(seed, 2**31).integers(0, field.q, size=(VERIFY_SAMPLES - len(picks), n),
+                                             dtype=np.uint16)
     rows = np.concatenate([picks, drawn])
+    hits = _is_marked(marked, field.q, rows)
     degrees, block = _singular_block(field, r, ell, rows, 0)
-    for row, dim in zip(rows, batch_projective_dim_hilbert(field, r, degrees, block)):
+    for row, hit, dim in zip(rows, hits, batch_projective_dim_hilbert(field, r, degrees, block)):
         if dim is None:
             raise BudgetError(f"the Hilbert window of a degree-{ell} plane form is over budget")
-        hit = row.tobytes() in marked
         _crosscheck_sample(field, r, [ell], row, seed, 2**31, 1, hit, dim, None)
 
 
@@ -453,10 +466,7 @@ def poonen_combine(base: MultiPoly, fudge) -> MultiPoly:
     fudge = tuple(fudge)
     if len(fudge) != r + 1:
         raise ParameterError(f"need r + 1 = {r + 1} fudge factors, got {len(fudge)}")
-    if ell % 2 == 1:
-        dg = (ell - 1) // 2
-    else:
-        dg = ell // 2 - 1
+    dg = (ell - 1) // 2  # ell = 2 dg + 1, or ell = 2 dg + 2
     if dg < 1:
         raise ParameterError(f"degree {ell} leaves no room for fudge factors")
     for G in fudge:
@@ -478,10 +488,7 @@ def poonen_combine(base: MultiPoly, fudge) -> MultiPoly:
 def poonen_sample(r: int, ell: int, field: Field, seed: int = DEFAULT_SEED) -> PoonenSample:
     """Draw (G, G_0..G_r) uniformly and recombine; the resulting F is itself
     uniform because G -> F is an affine shift for fixed fudge factors."""
-    if ell % 2 == 1:
-        dg = (ell - 1) // 2
-    else:
-        dg = ell // 2 - 1
+    dg = (ell - 1) // 2  # ell = 2 dg + 1, or ell = 2 dg + 2
     check_seed(seed)
     rng = _chunk_rng(seed, 0)
     base = MultiPoly.random(field, r, ell, rng)

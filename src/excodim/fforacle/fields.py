@@ -11,8 +11,7 @@ element is an integer whose base-p digits are the coefficients of x^0, x^1,
 first candidate in that integer order, which makes every table reproducible.
 
 Arithmetic is table lookup: ``ADD``, ``MUL``, ``NEG`` and ``INV`` are numpy
-arrays indexed by codes, and ``pow_table(j)[x, j]`` is x^j, so the Frobenius
-map x -> x^p is ``pow_table(p)[:, p]``.
+arrays indexed by codes.
 """
 
 from __future__ import annotations
@@ -153,7 +152,6 @@ class Field:
         self._rep_from_code = rep_from_code
 
         self._build_tables()
-        self._pow_table = None
         self._ext_cache: dict[int, tuple[Field, np.ndarray]] = {}
 
     def _build_tables(self):
@@ -199,17 +197,6 @@ class Field:
 
     def from_int(self, m: int) -> int:
         return int(self._code_from_rep[m % self.p])
-
-    def pow_table(self, max_exp: int) -> np.ndarray:
-        """POW[x, j] = x^j for all codes x and 0 <= j <= max_exp."""
-        if self._pow_table is None or self._pow_table.shape[1] <= max_exp:
-            table = np.zeros((self.q, max_exp + 1), dtype=np.uint16)
-            table[:, 0] = self.one
-            col = np.arange(self.q, dtype=np.uint16)
-            for j in range(1, max_exp + 1):
-                table[:, j] = self.MUL[table[:, j - 1], col]
-            self._pow_table = table
-        return self._pow_table
 
     def element_order(self, code: int) -> int:
         if code == 0:

@@ -4,11 +4,10 @@ dimension detectors built on them.
 The degree-t piece of the ideal generated by forms g_i is spanned by the
 products m * g_i over monomials m of degree t - deg(g_i); its rank gives
 h(t) = C(t+r, r) - rank for the quotient.  Its matrix, the Macaulay matrix, is
-filled by one scatter per generator through ``scatter_index``, a read-only
-index cached per (r, deg g_i, t), and a whole batch of tuples whose
-generators have the same degrees is filled as one (B, rows, cols) stack by
-``macaulay_stack`` and ranked by ``batch_rank``.  ``hilbert_function`` ranks
-one such piece, a stack of one.
+filled by ``polynomials.macaulay_stack``, and a whole batch of tuples whose
+generators have the same degrees is filled as one (B, rows, cols) stack and
+ranked by ``batch_rank``.  ``hilbert_function`` ranks one such piece, a stack
+of one.
 
 ``dim_at_least`` answers the question every experiment asks of a sample,
 "is dim V(g) >= s?", by a linear section.  With b = r - s it restricts the
@@ -29,9 +28,9 @@ section certifies dim < s.  The outcomes are:
   D / |E|, so a false positive has probability about (D / |E|)^SECTION_TRIES.
 
 The section field and the restriction map of each plane and degree are
-built on first use and cached, so later calls with the same field, r, s and
-seed only read them.  A stack of forms is restricted by one ``rows_times``
-product of its coefficient rows with the map.
+built on first use (the map by ``polynomials.substitute``) and cached, so
+later calls with the same field, r, s and seed only read them.  A stack of
+forms is restricted by one ``rows_times`` product of its rows with the map.
 
 ``projective_dim_hilbert`` gives the exact dimension from a window of h
 values in the full space: it infers the degree of the eventual Hilbert
@@ -70,7 +69,7 @@ import numpy as np
 from ..errors import BudgetError, InvariantError, ParameterError
 from .fields import Field
 from .linalg import batch_rank, matrix_rank, rows_times
-from .polynomials import MultiPoly, monomial_index, monomials, n_monomials
+from .polynomials import macaulay_stack, n_monomials, substitute
 
 MAX_MATRIX_ENTRIES = 4_000_000
 STACK_ENTRIES = 2**20  # split size of a Macaulay stack, below the budget
@@ -108,43 +107,6 @@ def _check_budget(t: int, nrows: int, ncols: int):
         raise BudgetError(
             f"degree-{t} piece needs a {nrows}x{ncols} matrix, over the budget"
         )
-
-
-@lru_cache(maxsize=256)
-def scatter_index(r: int, d: int, t: int) -> np.ndarray:
-    """Entry (i, j) is the column of m_i * e_j among the degree-t monomials,
-    for the i-th degree-(t - d) monomial m_i and the j-th degree-d monomial
-    e_j.  Read-only, because it is a shared cache entry."""
-    index = monomial_index(r, t)
-    cols = np.array(
-        [[index[tuple(a + b for a, b in zip(m, e))] for e in monomials(r, d)]
-         for m in monomials(r, t - d)],
-        dtype=np.intp,
-    )
-    cols.flags.writeable = False
-    return cols
-
-
-def macaulay_stack(nbatch: int, r: int, t: int, degrees, coeffs) -> np.ndarray:
-    """The (nbatch, rows, cols) degree-t Macaulay matrices of a batch of
-    generator tuples; coeffs[j] is the (nbatch, n_monomials(r, degrees[j]))
-    coefficient stack of the j-th generator.
-
-    The rows of each matrix are the products m * g_j over the
-    degree-(t - d_j) monomials m, generator by generator (a generator of
-    degree above t gives none), and the columns are the degree-t monomials.
-    Multiplying by a monomial leaves the coefficients alone, so each
-    generator's block is one scatter through ``scatter_index``.
-    """
-    parts = [(scatter_index(r, d, t), c) for d, c in zip(degrees, coeffs) if d <= t]
-    nrows = sum(cols.shape[0] for cols, _ in parts)
-    out = np.zeros((nbatch, nrows, n_monomials(r, t)), dtype=np.uint16)
-    row = 0
-    for cols, c in parts:
-        rows = np.arange(row, row + cols.shape[0])[:, None]
-        out[:, rows, cols] = c[:, None, :]
-        row += cols.shape[0]
-    return out
 
 
 def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs) -> np.ndarray:
@@ -361,24 +323,11 @@ def restriction_map(field: Field, r: int, b: int, seed: int, k: int, d: int) -> 
     """Restriction of degree-d forms on P^r to plane k, as a linear map.
 
     Row i holds the coefficients, as a degree-d form on P^b, of the i-th
-    degree-d monomial composed with the plane's parameterization, so a
-    form's restriction is its coefficient row times this matrix.
+    degree-d monomial composed with the plane's parameterization (the
+    ``substitute`` map of the plane), so a form's restriction is its
+    coefficient row times this matrix.
     """
-    plane = _section_plane(field, r, b, seed, k)
-    coords = [MultiPoly(field, b, 1, plane[i]) for i in range(r + 1)]
-    one = MultiPoly(field, b, 0, np.array([field.one], dtype=np.uint16))
-    images: dict[tuple[int, ...], MultiPoly] = {}
-
-    def image(exp: tuple[int, ...]) -> MultiPoly:
-        if sum(exp) == 0:
-            return one
-        if exp not in images:
-            i = max(j for j, e in enumerate(exp) if e > 0)
-            prev = tuple(e - 1 if j == i else e for j, e in enumerate(exp))
-            images[exp] = image(prev) * coords[i]
-        return images[exp]
-
-    rmap = np.stack([image(exp).coeffs for exp in monomials(r, d)])
+    rmap = substitute(field, r, d, _section_plane(field, r, b, seed, k)[None])[0]
     rmap.flags.writeable = False
     return rmap
 

@@ -16,9 +16,9 @@ updated mod p; extension fields use the ADD/MUL tables.  ``matrix_rank`` is
 
 ``rows_times`` multiplies a block of coefficient rows by one matrix: an
 integer matmul mod p on prime fields, a table-lookup sum otherwise.  It
-restricts forms to the section planes of ``hilbert``, multiplies forms by a
-fixed square in ``experiments`` and evaluates forms at every point of a
-projective space in ``points``.
+multiplies two forms in ``polynomials``, restricts forms to the section
+planes of ``hilbert``, multiplies forms by a fixed square in ``experiments``
+and evaluates forms at every point of a projective space in ``points``.
 """
 
 from __future__ import annotations

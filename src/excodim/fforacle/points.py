@@ -30,7 +30,7 @@ from ..errors import BudgetError, ParameterError
 from . import hilbert
 from .fields import Field
 from .linalg import rows_times
-from .polynomials import monomials, n_monomials
+from .polynomials import substitute
 
 MAX_POINTS = 300_000
 
@@ -63,17 +63,10 @@ def count_projective_points(q: int, r: int) -> int:
 @lru_cache(maxsize=64)
 def monomial_values(field: Field, r: int, d: int) -> np.ndarray:
     """Entry (i, j) is the i-th degree-d monomial at the j-th point of
-    ``projective_points(field, r)``.  Read-only, because it is a shared cache
-    entry."""
+    ``projective_points(field, r)``: the points are the 0-planes of
+    ``substitute``.  Read-only, because it is a shared cache entry."""
     points = projective_points(field, r)
-    powers = field.pow_table(max(d, 1))
-    values = np.empty((n_monomials(r, d), len(points)), dtype=np.uint16)
-    for i, exp in enumerate(monomials(r, d)):
-        value = np.full(len(points), field.one, dtype=np.uint16)
-        for x, e in zip(points.T, exp):
-            if e:
-                value = field.MUL[value, powers[x, e]]
-        values[i] = value
+    values = substitute(field, r, d, points[:, :, None])[:, :, 0].T
     values.flags.writeable = False
     return values
 

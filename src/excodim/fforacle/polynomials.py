@@ -7,6 +7,9 @@ X_0 first.  This order is fixed for all serialization.
 
 ``partial_rows`` differentiates a whole array of such vectors by one cached
 gather on its last axis; ``MultiPoly.partial`` is that gather on one form.
+Every product of forms goes through the cached table ``scatter_index``: in
+``macaulay_stack``, in ``MultiPoly.__mul__`` and in ``substitute``, which pulls
+forms back along the section planes of ``hilbert`` and the points of ``points``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from ..combinatorics import binomial
 from ..errors import ParameterError
 from .fields import Field, gf
+from .linalg import rows_times
 
 
 @lru_cache(maxsize=None)
@@ -54,12 +58,74 @@ def _partial_map(field: Field, r: int, d: int, i: int) -> tuple[np.ndarray, np.n
         raise ParameterError(f"variable index {i} out of range for r={r}")
     if d < 1:
         raise ParameterError("cannot differentiate a constant form")
-    index = monomial_index(r, d)
-    mons = monomials(r, d - 1)
-    source = np.array([index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in mons], dtype=np.intp)
-    scalar = np.array([field.from_int(m[i] + 1) for m in mons], dtype=np.uint16)
-    source.flags.writeable = scalar.flags.writeable = False
-    return source, scalar
+    scalar = np.array([field.from_int(m[i] + 1) for m in monomials(r, d - 1)], dtype=np.uint16)
+    scalar.flags.writeable = False
+    return scatter_index(r, 1, d)[:, i], scalar
+
+
+@lru_cache(maxsize=256)
+def scatter_index(r: int, d: int, t: int) -> np.ndarray:
+    """Entry (i, j) is the column of m_i * e_j among the degree-t monomials,
+    for the i-th degree-(t - d) monomial m_i and the j-th degree-d monomial
+    e_j.  Read-only, because it is a shared cache entry."""
+    index = monomial_index(r, t)
+    cols = np.array(
+        [[index[tuple(a + b for a, b in zip(m, e))] for e in monomials(r, d)]
+         for m in monomials(r, t - d)],
+        dtype=np.intp,
+    )
+    cols.flags.writeable = False
+    return cols
+
+
+def macaulay_stack(nbatch: int, r: int, t: int, degrees, coeffs) -> np.ndarray:
+    """The (nbatch, rows, cols) degree-t Macaulay matrices of a batch of
+    generator tuples; coeffs[j] is the (nbatch, n_monomials(r, degrees[j]))
+    coefficient stack of the j-th generator.
+
+    The rows of each matrix are the products m * g_j over the
+    degree-(t - d_j) monomials m, generator by generator (a generator of
+    degree above t gives none), and the columns are the degree-t monomials.
+    Multiplying by a monomial leaves the coefficients alone, so each
+    generator's block is one scatter through ``scatter_index``.
+    """
+    parts = [(scatter_index(r, d, t), c) for d, c in zip(degrees, coeffs) if d <= t]
+    nrows = sum(cols.shape[0] for cols, _ in parts)
+    out = np.zeros((nbatch, nrows, n_monomials(r, t)), dtype=np.uint16)
+    row = 0
+    for cols, c in parts:
+        rows = np.arange(row, row + cols.shape[0])[:, None]
+        out[:, rows, cols] = c[:, None, :]
+        row += cols.shape[0]
+    return out
+
+
+def substitute(field: Field, r: int, d: int, planes: np.ndarray) -> np.ndarray:
+    """The (N, C(r + d, r), C(b + d, b)) pullback maps of degree-d forms on
+    P^r along an (N, r + 1, b + 1) stack of matrices of field codes: row i
+    of map n holds the coefficients, as a degree-d form on P^b, of the i-th
+    degree-d monomial at X = planes[n] Y.  A form's pullback is its
+    coefficient row times the map."""
+    planes = np.array(planes, dtype=np.uint16)
+    if d < 0 or planes.ndim != 3 or planes.shape[1] != r + 1:
+        raise ParameterError(f"need d >= 0 and planes of {r + 1} rows, got {d}, {planes.shape}")
+    nplanes, _, width = planes.shape
+    if d == 0:
+        return np.full((nplanes, 1, 1), field.one, dtype=np.uint16)
+    # planes on the last axis, so the gathers copy whole rows; X_i maps to row i
+    linear = maps = planes.transpose(1, 2, 0)
+    for t in range(2, d + 1):
+        # the image of m = m_source * X_var is that of m_source times X_var(P Y)
+        _, first = np.unique(scatter_index(r, 1, t), return_index=True)
+        source, var = np.divmod(first, r + 1)
+        prev, cols = maps[source], scatter_index(width - 1, 1, t)
+        maps = np.zeros((len(source), n_monomials(width - 1, t), nplanes), dtype=np.uint16)
+        # m -> m * Y_0 keeps the order, so column 0 of cols is a leading slice
+        maps[:, :cols.shape[0]] = field.MUL[prev, linear[var, :1]]
+        for j in range(1, width):
+            maps[:, cols[:, j]] = field.ADD[maps[:, cols[:, j]],
+                                            field.MUL[prev, linear[var, j:j + 1]]]
+    return maps.transpose(2, 0, 1)
 
 
 def partial_rows(field: Field, r: int, d: int, i: int, rows: np.ndarray) -> np.ndarray:
@@ -158,15 +224,10 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
-        f = self.field
-        out = np.zeros(n_monomials(self.r, self.d + other.d), dtype=np.uint16)
-        index = monomial_index(self.r, self.d + other.d)
-        for ea, ca in self.support():
-            for eb, cb in other.support():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                i = index[exp]
-                out[i] = f.ADD[out[i], f.MUL[ca, cb]]
-        return MultiPoly(f, self.r, self.d + other.d, out)
+        # the products m * other over the monomials m of degree self.d
+        rows = macaulay_stack(1, self.r, self.d + other.d, [other.d], [other.coeffs[None]])[0]
+        return MultiPoly(self.field, self.r, self.d + other.d,
+                         rows_times(self.field, self.coeffs[None], rows)[0])
 
     def scale(self, code: int) -> "MultiPoly":
         return MultiPoly(self.field, self.r, self.d, self.field.MUL[self.coeffs, code])

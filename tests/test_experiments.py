@@ -19,6 +19,7 @@ from excodim.fforacle.experiments import (
     _class_block,
     _class_rows,
     _n_classes,
+    _row_keys,
     _singular_generators,
     excess_experiment,
     poonen_combine,
@@ -285,10 +286,13 @@ def test_repeated_factor_set_is_exactly_positive_singular_locus():
     # full-space agreement between the marked set and the rank detector
     field = gf(2)
     marked = repeated_factor_keys(field, 2, 3)
+    assert np.array_equal(marked, np.unique(marked)) and not marked.flags.writeable
+    members = set(marked.tolist())
+    rows = _all_coeff_rows(2, n_monomials(2, 3))
     hits = 0
-    for row in _all_coeff_rows(2, n_monomials(2, 3)):
+    for row, key in zip(rows, _row_keys(2, rows).tolist()):
         F = MultiPoly(field, 2, 3, row)
-        in_marked = F.coeffs.tobytes() in marked
+        in_marked = key in members
         if F.is_zero:
             assert in_marked
             hits += 1
@@ -296,12 +300,12 @@ def test_repeated_factor_set_is_exactly_positive_singular_locus():
         positive = singular_membership(F).sing_dim >= 1
         assert positive == in_marked
         hits += 1 if positive else 0
-    assert hits == len(marked)
+    assert hits == marked.size
     # the set sizes in the plane, over the prime and the extension fields
     sizes = {(2, 3): 50, (2, 4): 456, (2, 5): 7260, (2, 6): 230736,
              (4, 3): 1324, (4, 4): 88768, (8, 3): 37304}
     for (q, ell), size in sizes.items():
-        assert len(repeated_factor_keys(parse_field(str(q)), 2, ell)) == size
+        assert repeated_factor_keys(parse_field(str(q)), 2, ell).size == size
 
 
 def test_singular_exhaustive_small():
@@ -316,7 +320,7 @@ def test_line_component_dominates_in_the_plane():
     # linear factor account for almost all of the positive-singular locus
     field = gf(2)
     for ell in (4, 5):
-        marked = repeated_factor_keys(field, 2, ell)
+        marked = set(repeated_factor_keys(field, 2, ell).tolist())
         line_keys = set()
         all_g = _all_coeff_rows(2, n_monomials(2, ell - 2))
         for coeffs in _class_rows(2, 3, np.arange(1, _n_classes(2, 3))):
@@ -324,7 +328,7 @@ def test_line_component_dominates_in_the_plane():
             H2 = H * H
             for row in all_g:
                 G = MultiPoly(field, 2, ell - 2, row)
-                line_keys.add((H2 * G).coeffs.tobytes())
+                line_keys.add(int(_row_keys(2, (H2 * G).coeffs[None])[0]))
         assert line_keys <= marked
         assert len(line_keys) / len(marked) > 0.9
 
@@ -573,6 +577,23 @@ def test_plane_spot_check_over_budget_raises(monkeypatch):
     monkeypatch.setattr(hilbert, "MAX_MATRIX_ENTRIES", 10)
     with pytest.raises(BudgetError):
         singular_experiment(2, 3, gf(2), mode="exhaustive")
+
+
+@pytest.mark.parametrize("q, ell", [(2, 3), (4, 3), (2, 5)])
+def test_plane_spot_check_picks_nonzero_members(monkeypatch, q, ell):
+    # every form spaced through the set is a nonzero member: the zero form,
+    # key 0, is never one of them
+    seen = []
+    monkeypatch.setattr(experiments, "_crosscheck_sample", lambda *a: seen.append(a))
+    field = parse_field(str(q))
+    experiments._verify_marked(field, 2, ell, repeated_factor_keys(field, 2, ell), DEFAULT_SEED)
+    half = experiments.VERIFY_SAMPLES // 2
+    members = set(repeated_factor_keys(field, 2, ell).tolist())
+    picks = [a[3] for a in seen[:half]]
+    assert len(seen) == experiments.VERIFY_SAMPLES and all(a[7] for a in seen[:half])
+    assert all(row.any() for row in picks)
+    assert all(int(key) in members for key in _row_keys(q, np.array(picks)))
+    assert len({row.tobytes() for row in picks}) == half
 
 
 def test_plane_spot_check_failure_names_the_form(monkeypatch):

@@ -12,12 +12,17 @@ from excodim.fforacle.hilbert import (
     batch_projective_dim_hilbert,
     dim_at_least,
     hilbert_function,
-    macaulay_stack,
     projective_dim_hilbert,
     section_field,
 )
 from excodim.fforacle.points import projective_dim_points
-from excodim.fforacle.polynomials import MultiPoly, monomial_index, monomials, n_monomials
+from excodim.fforacle.polynomials import (
+    MultiPoly,
+    macaulay_stack,
+    monomial_index,
+    monomials,
+    n_monomials,
+)
 
 ALL_FIELDS = [gf(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)]
 

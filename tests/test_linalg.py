@@ -4,9 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from excodim.fforacle.fields import gf
-from excodim.fforacle.hilbert import macaulay_stack
 from excodim.fforacle.linalg import batch_rank, matrix_rank
-from excodim.fforacle.polynomials import n_monomials
+from excodim.fforacle.polynomials import macaulay_stack, n_monomials
 
 FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2)]  # GF(2,3,7,4,8,9)
 

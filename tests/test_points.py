@@ -120,13 +120,12 @@ def reference_zero_count(gens, ext, emb, r) -> int:
     pts = projective_points(ext, r)
     zero = np.ones(len(pts), dtype=bool)
     for g in gens:
-        powers = ext.pow_table(max(g.d, 1))
         acc = np.zeros(len(pts), dtype=np.uint16)
         for exp, code in g.support():
             term = np.full(len(pts), emb[code], dtype=np.uint16)
             for i, e in enumerate(exp):
-                if e:
-                    term = ext.MUL[term, powers[pts[:, i], e]]
+                for _ in range(e):
+                    term = ext.MUL[term, pts[:, i]]
             acc = ext.ADD[acc, term]
         zero &= acc == 0
     return int(zero.sum())

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from excodim.errors import ParameterError
 from excodim.fforacle.fields import gf
+from excodim.fforacle.linalg import rows_times
+from excodim.fforacle.points import projective_points
 from excodim.fforacle.polynomials import (
     MultiPoly,
+    monomial_index,
     monomials,
     n_monomials,
     partial_rows,
     poly_from_line,
     poly_to_line,
+    substitute,
 )
 
 
@@ -65,6 +71,85 @@ def test_multiplication_matches_reference():
                 ref[key] = (ref.get(key, 0) + ca * cb) % 5
         want = MultiPoly.from_terms(f, 2, 5, {k: v for k, v in ref.items() if v})
         assert got == want
+
+
+def reference_product(a: MultiPoly, b: MultiPoly) -> np.ndarray:
+    """The coefficients of a * b, one term pair at a time."""
+    f = a.field
+    out = np.zeros(n_monomials(a.r, a.d + b.d), dtype=np.uint16)
+    index = monomial_index(a.r, a.d + b.d)
+    for ea, ca in a.support():
+        for eb, cb in b.support():
+            i = index[tuple(x + y for x, y in zip(ea, eb))]
+            out[i] = f.ADD[out[i], f.MUL[ca, cb]]
+    return out
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2)])
+def test_multiplication_matches_scalar_double_loop(p, e):
+    f = gf(p, e)
+    rng = np.random.default_rng([p, e, 1])
+    for r in (1, 2, 3):
+        for da, db in ((0, 2), (1, 1), (2, 3), (3, 0), (4, 2)):
+            a, b = MultiPoly.random(f, r, da, rng), MultiPoly.random(f, r, db, rng)
+            assert np.array_equal((a * b).coeffs, reference_product(a, b))
+
+
+def evaluate(field, r, d, coeffs, pts) -> np.ndarray:
+    """A degree-d form on P^r at each row of pts, term by term."""
+    acc = np.zeros(len(pts), dtype=np.uint16)
+    for exp, code in zip(monomials(r, d), coeffs):
+        term = np.full(len(pts), code, dtype=np.uint16)
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                term = field.MUL[term, pts[:, i]]
+        acc = field.ADD[acc, term]
+    return acc
+
+
+@st.composite
+def substitutions(draw):
+    # prime, characteristic-2 and odd extension fields, and b = 0 (points)
+    field = gf(*draw(st.sampled_from([(3, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2)])))
+    r, b, d = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 4))
+    codes = st.integers(0, field.q - 1)
+    planes = draw(hnp.arrays(np.uint16, (draw(st.integers(1, 3)), r + 1, b + 1), elements=codes))
+    form = draw(hnp.arrays(np.uint16, n_monomials(r, d), elements=codes))
+    return field, r, d, planes, form
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(substitutions())
+def test_substitute_pulls_forms_back_pointwise(case):
+    # F(P y) = (F o P)(y) at every point y of P^b, for each plane P of the
+    # stack; P need not have full rank
+    field, r, d, planes, form = case
+    b = planes.shape[2] - 1
+    maps = substitute(field, r, d, planes)
+    assert maps.shape == (len(planes), n_monomials(r, d), n_monomials(b, d))
+    pts = projective_points(field, b)
+    for plane, rmap in zip(planes, maps):
+        image = np.zeros((len(pts), r + 1), dtype=np.uint16)
+        for i in range(r + 1):
+            for j in range(b + 1):
+                image[:, i] = field.ADD[image[:, i], field.MUL[plane[i, j], pts[:, j]]]
+        pulled = rows_times(field, form[None], rmap)[0]
+        assert np.array_equal(evaluate(field, b, d, pulled, pts),
+                              evaluate(field, r, d, form, image))
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 2), (7, 1)])
+def test_substitute_identity_plane_is_the_identity_map(p, e):
+    f = gf(p, e)
+    for r in (0, 1, 3):
+        identity = np.eye(r + 1, dtype=np.uint16)[None] * f.one
+        for d in range(5):
+            maps = substitute(f, r, d, identity)
+            assert np.array_equal(maps[0], np.eye(n_monomials(r, d), dtype=np.uint16) * f.one)
+    with pytest.raises(ParameterError):
+        substitute(f, 2, 1, np.zeros((1, 2, 2), dtype=np.uint16))
+    with pytest.raises(ParameterError):
+        substitute(f, 2, -1, np.zeros((1, 3, 2), dtype=np.uint16))
 
 
 def test_euler_identity():
