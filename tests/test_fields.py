@@ -75,10 +75,6 @@ def test_prime_field_codes_are_residues():
     assert int(f.ADD[3, 4]) == 2
     assert int(f.MUL[3, 4]) == 2
     assert f.from_int(12) == 2
-    # powers of 2 in GF(3): 2^2 = 1 and 2^3 = 2
-    f3 = gf(3)
-    assert int(f3.MUL[2, 2]) == 1
-    assert int(f3.MUL[f3.MUL[2, 2], 2]) == 2
 
 
 @pytest.mark.parametrize("p, e", ALL_FIELDS)
@@ -121,3 +117,16 @@ def test_embedding_is_a_field_map(p, e, m):
     assert emb[0] == 0 and emb[base.one] == ext.one
     # injective
     assert len(set(int(x) for x in emb)) == base.q
+
+
+def test_pow_table():
+    f = gf(3)
+    i = np.arange(f.q)
+    # column j holds x^j for every code x, built through MUL
+    columns = [np.full(f.q, f.one)]
+    for _ in range(4):
+        columns.append(f.MUL[columns[-1], i])
+    table = np.stack(columns, axis=1)
+    assert int(table[2, 0]) == 1
+    assert int(table[2, 2]) == 1
+    assert int(table[2, 3]) == 2
