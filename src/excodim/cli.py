@@ -8,6 +8,8 @@ sweep commands only.  Exit codes: 0 ok, 1 internal invariant violation,
 
 Only the oracle subcommands and selftest load the finite-field oracle, and
 with it numpy; the calculus subcommands run on the standard library alone.
+Importing the oracle sets ``OPENBLAS_NUM_THREADS=1`` unless the user set it,
+so these commands start numpy's OpenBLAS on one thread.
 
 ``main``, the console entry point, freezes the garbage collector once
 ``run`` has printed the report, so that interpreter exit does not scan
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 
@@ -31,11 +32,8 @@ from .errors import BudgetError, InvariantError, ParameterError
 
 
 def _oracle():
-    """The finite-field oracle package, imported on first use."""
-    # numpy's bundled OpenBLAS starts a busy-waiting worker thread per extra
-    # core when it loads, and the oracle makes no BLAS call; a user's own
-    # setting still wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    """The finite-field oracle package, imported on first use; the package
+    sets the one-thread OpenBLAS default before any of it loads numpy."""
     from . import fforacle
     return fforacle
 
@@ -132,6 +130,14 @@ def _sorted_degrees(report: Report, degrees: tuple[int, ...]) -> tuple[int, ...]
     return ordered
 
 
+def _check_ranges(args, *names):
+    """Refuse a sweep range whose min is above its max: it sweeps nothing."""
+    for name in names:
+        lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+        if lo > hi:
+            raise ParameterError(f"need {name}_min <= {name}_max, got {lo} > {hi}")
+
+
 # -- subcommand implementations -------------------------------------------------
 
 
@@ -175,6 +181,8 @@ def _cmd_slope(args) -> Report:
     report = Report(
         {"command": "slope", "r": args.r, "degrees": degrees, "format": args.format}
     )
+    if args.r < 1:
+        raise ParameterError(f"need r >= 1, got {args.r}")
     degrees = _sorted_degrees(report, degrees)
     in_cone = strata.nr_hypothesis(degrees)
     report.add("in_cone", in_cone, "exact",
@@ -224,6 +232,7 @@ def _cmd_apps_singular(args) -> Report:
          "ell_min": args.ell_min, "ell_max": args.ell_max, "format": args.format}
     )
     if args.sweep:
+        _check_ranges(args, "r", "ell")
         rows = []
         for r in range(args.r_min, args.r_max + 1):
             for ell in range(args.ell_min, args.ell_max + 1):
@@ -256,6 +265,7 @@ def _cmd_apps_lines(args) -> Report:
          "d_max": args.d_max, "format": args.format}
     )
     if args.sweep:
+        _check_ranges(args, "r", "d")
         rows = []
         for r in range(args.r_min, args.r_max + 1):
             for d in range(args.d_min, args.d_max + 1):

@@ -185,6 +185,31 @@ def test_bad_input_exits_2(capsys, argv):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("r", ["-3", "0"])
+def test_slope_checks_r(capsys, r):
+    code, out, err = run_cli(capsys, "slope", "--r", r, "--degrees", "3")
+    assert (code, out, err) == (2, "", f"error: need r >= 1, got {r}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("apps", "singular", "--sweep", "--r-min", "5", "--r-max", "2"), "r_min <= r_max, got 5 > 2"),
+    (("apps", "singular", "--sweep", "--ell-min", "9", "--ell-max", "3"),
+     "ell_min <= ell_max, got 9 > 3"),
+    (("apps", "lines", "--sweep", "--r-min", "5", "--r-max", "2"), "r_min <= r_max, got 5 > 2"),
+    (("apps", "lines", "--sweep", "--d-min", "9", "--d-max", "3"), "d_min <= d_max, got 9 > 3"),
+])
+def test_empty_sweep_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out, err) == (2, "", f"error: need {message}\n")
+
+
+def test_one_point_sweep_runs(capsys):
+    code, out, _ = run_cli(capsys, "apps", "lines", "--sweep", "--r-min", "4", "--r-max", "4",
+                           "--d-min", "3", "--d-max", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0].startswith("r,d,") and len(out.splitlines()) == 2
+
+
 def test_r4_excess_warns_of_unchecked_samples(capsys):
     code, out, _ = run_cli(capsys, "oracle", "excess", "--r", "4", "--degrees", "1,2",
                            "--a", "1", "--trials", "300", "--seed", "5", "--format", "json")
@@ -312,6 +337,88 @@ def test_user_openblas_setting_wins():
                       "--trials", "40"], OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split()[0] == "2"
+
+
+# the oracle's submodules, each after those it imports
+SUBMODULES = ("fields", "linalg", "polynomials", "hilbert", "points", "experiments")
+
+
+def test_fields_alone_loads_no_other_oracle_submodule():
+    code = (
+        "import sys\n"
+        "import excodim.fforacle.fields\n"
+        f"print([m for m in {SUBMODULES[1:]!r} if 'excodim.fforacle.' + m in sys.modules])\n"
+    )
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
+
+
+def test_star_import_and_submodules_resolve():
+    # each submodule is first reached through the package's attribute
+    code = (
+        "import sys\n"
+        "import excodim.fforacle as oracle\n"
+        f"for m in {SUBMODULES!r}:\n"
+        "    assert 'excodim.fforacle.' + m not in sys.modules, m\n"
+        "    assert getattr(oracle, m) is sys.modules['excodim.fforacle.' + m], m\n"
+        "from excodim.fforacle import *\n"
+        "missing = [n for n in oracle.__all__ if n not in globals()]\n"
+        "assert oracle.gf is oracle.fields.gf\n"
+        "assert oracle.excess_experiment is oracle.experiments.excess_experiment\n"
+        f"assert {{*oracle.__all__, *{SUBMODULES!r}}} <= set(dir(oracle))\n"
+        "print(missing, len(oracle.__all__))\n"
+        "oracle.no_such_name\n"
+    )
+    proc = run_fresh(["-c", code])
+    assert proc.stdout.splitlines() == ["[] 24"], proc.stderr
+    assert ("AttributeError: module 'excodim.fforacle' has no attribute 'no_such_name'"
+            in proc.stderr)
+
+
+BLAS_AT_IMPORT = (
+    "import os\n"
+    "import excodim.fforacle.fields\n"
+    "threads = None\n"
+    "if os.path.exists('/proc/self/status'):\n"
+    "    with open('/proc/self/status') as f:\n"
+    "        threads = next(int(line.split()[1]) for line in f if line.startswith('Threads:'))\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n"
+)
+
+
+def test_importing_the_oracle_runs_openblas_on_one_thread():
+    proc = run_fresh(["-c", BLAS_AT_IMPORT])
+    assert proc.returncode == 0, proc.stderr
+    blas, threads = proc.stdout.splitlines()[-1].split()
+    assert blas == "1"
+    if threads == "None":
+        pytest.skip("no /proc to count threads in")
+    assert threads == "1"
+
+
+def test_user_openblas_setting_wins_on_import():
+    proc = run_fresh(["-c", BLAS_AT_IMPORT], OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split()[0] == "2"
+
+
+@pytest.mark.parametrize("argv, hits", [
+    (("oracle", "excess", "--r", "2", "--degrees", "1,1", "--a", "1", "--field", "7",
+      "--mode", "exhaustive"), 2737),
+    (("oracle", "excess", "--r", "2", "--degrees", "2,2", "--a", "1", "--field", "4",
+      "--mode", "sampled", "--trials", "200"), 3),
+    (("oracle", "singular", "--r", "3", "--ell", "3", "--field", "2", "--mode", "sampled",
+      "--trials", "40"), 0),
+], ids=["linear-exhaustive", "plane-gf4", "space-singular"])
+def test_benchmark_commands_run_with_a_seed(argv, hits):
+    # with --seed the command's first use of the oracle is the fields submodule
+    proc = run_fresh(["-m", "excodim.cli", *argv, "--format", "json", "--seed", "271828"])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    jsonschema.validate(report, load_schema())
+    values = {r["name"]: r["value"] for r in report["results"]}
+    assert values["hits"] == hits
 
 
 def test_module_entry_point_runs_the_oracle():
