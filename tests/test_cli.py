@@ -305,16 +305,18 @@ def test_every_exported_name_resolves():
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-THREADS = (
-    "import os, sys\n"
-    "from excodim import cli\n"
-    "assert cli.run(sys.argv[1:]) == 0\n"
+PRINT_THREADS = (
     "threads = None\n"
     "if os.path.exists('/proc/self/status'):\n"
     "    with open('/proc/self/status') as f:\n"
     "        threads = next(int(line.split()[1]) for line in f if line.startswith('Threads:'))\n"
     "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n"
 )
+THREADS = (
+    "import os, sys\n"
+    "from excodim import cli\n"
+    "assert cli.run(sys.argv[1:]) == 0\n"
+) + PRINT_THREADS
 
 
 @pytest.mark.parametrize("argv", [
@@ -376,15 +378,7 @@ def test_star_import_and_submodules_resolve():
             in proc.stderr)
 
 
-BLAS_AT_IMPORT = (
-    "import os\n"
-    "import excodim.fforacle.fields\n"
-    "threads = None\n"
-    "if os.path.exists('/proc/self/status'):\n"
-    "    with open('/proc/self/status') as f:\n"
-    "        threads = next(int(line.split()[1]) for line in f if line.startswith('Threads:'))\n"
-    "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n"
-)
+BLAS_AT_IMPORT = "import os\nimport excodim.fforacle.fields\n" + PRINT_THREADS
 
 
 def test_importing_the_oracle_runs_openblas_on_one_thread():
