@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: bounds, exact, slope, example, apps singular, apps lines,
-oracle excess, oracle singular, selftest.  Every run echoes its full
-configuration; JSON is the canonical machine format and CSV is available for
-sweep commands only.  Exit codes: 0 ok, 1 internal invariant violation,
-2 argument error, 3 budget exhaustion.
+oracle excess, oracle singular, selftest.  ``_build_parser`` is the only
+place that declares a subcommand's arguments.  Every run echoes its full
+configuration, built from the parsed arguments: the subcommand path, then
+each argument in declaration order.  JSON is the canonical machine format
+and CSV is available for sweep commands only.  Exit codes: 0 ok, 1 internal
+invariant violation, 2 argument error, 3 budget exhaustion (a sweep over
+MAX_SWEEP_ROWS among them), and from ``main`` 141 (128 + SIGPIPE) when the
+reader closed stdout.
 
 Only the oracle subcommands and selftest load the finite-field oracle, and
 with it numpy; the calculus subcommands run on the standard library alone.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 
@@ -112,12 +117,9 @@ class Report:
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
     try:
-        degrees = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise ParameterError(f"bad degree list {text!r}") from exc
-    if not degrees:
-        raise ParameterError("empty degree list")
-    return degrees
+        raise argparse.ArgumentTypeError(f"bad degree list {text!r}") from exc
 
 
 def _sorted_degrees(report: Report, degrees: tuple[int, ...]) -> tuple[int, ...]:
@@ -130,24 +132,38 @@ def _sorted_degrees(report: Report, degrees: tuple[int, ...]) -> tuple[int, ...]
     return ordered
 
 
-def _check_ranges(args, *names):
-    """Refuse a sweep range whose min is above its max: it sweeps nothing."""
-    for name in names:
+# A sweep row costs 11-27 us and 0.6-2 KB of peak memory, the most for `apps
+# singular` in JSON.  At the cap a whole run takes 0.65-1.43 s and peaks at
+# 45-116 MB (2-core host).
+MAX_SWEEP_ROWS = 50_000
+
+
+def _sweep(args, report: Report, inner: str, row):
+    """Report row(r, x) for every r in --r-min..--r-max and x in the inner
+    parameter's range.  An empty range is refused, because it sweeps
+    nothing, and so is a grid over MAX_SWEEP_ROWS, before any row is built."""
+    axes = []
+    for name in ("r", inner):
         lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
         if lo > hi:
             raise ParameterError(f"need {name}_min <= {name}_max, got {lo} > {hi}")
+        axes.append(range(lo, hi + 1))
+    rs, xs = axes
+    if len(rs) * len(xs) > MAX_SWEEP_ROWS:
+        raise BudgetError(f"a sweep of {len(rs)}x{len(xs)} points is over the budget "
+                          f"of {MAX_SWEEP_ROWS} rows")
+    report.set_rows([row(r, x) for r in rs for x in xs])
 
 
 # -- subcommand implementations -------------------------------------------------
+#
+# Each handler takes the parsed arguments and the report, whose config
+# ``run`` has already filled from the same arguments, and adds results and
+# warnings only.
 
 
-def _cmd_bounds(args) -> Report:
-    degrees = _parse_degrees(args.degrees)
-    report = Report(
-        {"command": "bounds", "r": args.r, "a": args.a, "degrees": degrees,
-         "format": args.format}
-    )
-    degrees = _sorted_degrees(report, degrees)
+def _cmd_bounds(args, report: Report):
+    degrees = _sorted_degrees(report, args.degrees)
     analysis = strata.analyze_spans(args.r, args.a, degrees)
     report.add("base_codim", analysis.base_codim, "exact",
                "base span stratum, closed form")
@@ -161,29 +177,18 @@ def _cmd_bounds(args) -> Report:
                "lower_bound", "runner_up minus base")
     report.add("verdict", analysis.verdict, "exact",
                "UniqueMaxLinear iff the gap is strictly positive")
-    return report
 
 
-def _cmd_exact(args) -> Report:
-    degrees = _parse_degrees(args.degrees)
-    report = Report(
-        {"command": "exact", "r": args.r, "a": args.a, "degrees": degrees,
-         "format": args.format}
-    )
-    degrees = _sorted_degrees(report, degrees)
+def _cmd_exact(args, report: Report):
+    degrees = _sorted_degrees(report, args.degrees)
     value = strata.span_stratum_exact(args.r, args.a, degrees)
     report.add("base_codim", value, "exact", "base span stratum, closed form")
-    return report
 
 
-def _cmd_slope(args) -> Report:
-    degrees = _parse_degrees(args.degrees)
-    report = Report(
-        {"command": "slope", "r": args.r, "degrees": degrees, "format": args.format}
-    )
+def _cmd_slope(args, report: Report):
     if args.r < 1:
         raise ParameterError(f"need r >= 1, got {args.r}")
-    degrees = _sorted_degrees(report, degrees)
+    degrees = _sorted_degrees(report, args.degrees)
     in_cone = strata.nr_hypothesis(degrees)
     report.add("in_cone", in_cone, "exact",
                "d_i <= d_1 + C(d_1,2)(i-1) for every i")
@@ -202,11 +207,9 @@ def _cmd_slope(args) -> Report:
                    "UniqueMaxLinear iff the gap is strictly positive")
     elif not in_cone:
         report.warn("degree sequence outside the slope cone; no gap guarantee")
-    return report
 
 
-def _cmd_example(args) -> Report:
-    report = Report({"command": "example", "format": args.format})
+def _cmd_example(args, report: Report):
     w = strata.worked_example()
     report.add("degrees", w.degrees, "exact", "the running example")
     report.add("line_stratum_codim", w.line_codim, "exact", "span-1 stratum")
@@ -222,28 +225,18 @@ def _cmd_example(args) -> Report:
     report.add("second_largest_lower_bound", w.second_largest_lower_bound,
                "lower_bound", "runner-up stratum")
     report.add("verdict", w.verdict, "exact", "dominant stratum")
-    return report
 
 
-def _cmd_apps_singular(args) -> Report:
-    report = Report(
-        {"command": "apps singular", "r": args.r, "ell": args.ell,
-         "sweep": args.sweep, "r_min": args.r_min, "r_max": args.r_max,
-         "ell_min": args.ell_min, "ell_max": args.ell_max, "format": args.format}
-    )
+def _singular_row(r: int, ell: int) -> dict:
+    rep = apps.char2_threshold_report(r, ell)
+    return {"r": r, "ell": ell, "parity": rep.parity, "d": rep.d, "holds": rep.holds,
+            **dict(rep.margins)}
+
+
+def _cmd_apps_singular(args, report: Report):
     if args.sweep:
-        _check_ranges(args, "r", "ell")
-        rows = []
-        for r in range(args.r_min, args.r_max + 1):
-            for ell in range(args.ell_min, args.ell_max + 1):
-                rep = apps.char2_threshold_report(r, ell)
-                row = {"r": r, "ell": ell, "parity": rep.parity, "d": rep.d,
-                       "holds": rep.holds}
-                for name, value in rep.margins:
-                    row[name] = value
-                rows.append(row)
-        report.set_rows(rows)
-        return report
+        _sweep(args, report, "ell", _singular_row)
+        return
     if args.r is None or args.ell is None:
         raise ParameterError("apps singular needs --r and --ell (or --sweep)")
     rep = apps.char2_threshold_report(args.r, args.ell)
@@ -255,28 +248,19 @@ def _cmd_apps_singular(args) -> Report:
                "line stratum dominates (plane-curve case holds unconditionally)")
     report.add("singular_line_codim", apps.singular_line_codim(args.r, args.ell),
                "exact", "codimension of the singular-along-a-line locus")
-    return report
 
 
-def _cmd_apps_lines(args) -> Report:
-    report = Report(
-        {"command": "apps lines", "r": args.r, "d": args.d, "sweep": args.sweep,
-         "r_min": args.r_min, "r_max": args.r_max, "d_min": args.d_min,
-         "d_max": args.d_max, "format": args.format}
-    )
+def _lines_row(r: int, d: int) -> dict:
+    verdict = apps.lines_verdict(r, d)
+    return {"r": r, "d": d,
+            "maximal_components": "|".join(sorted(verdict.maximal_components)),
+            "universal_gap": verdict.universal_gap}
+
+
+def _cmd_apps_lines(args, report: Report):
     if args.sweep:
-        _check_ranges(args, "r", "d")
-        rows = []
-        for r in range(args.r_min, args.r_max + 1):
-            for d in range(args.d_min, args.d_max + 1):
-                verdict = apps.lines_verdict(r, d)
-                rows.append({
-                    "r": r, "d": d,
-                    "maximal_components": "|".join(sorted(verdict.maximal_components)),
-                    "universal_gap": verdict.universal_gap,
-                })
-        report.set_rows(rows)
-        return report
+        _sweep(args, report, "d", _lines_row)
+        return
     if args.r is None or args.d is None:
         raise ParameterError("apps lines needs --r and --d (or --sweep)")
     verdict = apps.lines_verdict(args.r, args.d)
@@ -292,47 +276,18 @@ def _cmd_apps_lines(args) -> Report:
         report.add("tuple_second_codim", pr["second_codim"], "exact",
                    "vanishing lowest-degree form component")
         report.add("tuple_gap", pr["gap"], "exact", "difference of the two")
-    return report
 
 
-def _cmd_oracle_excess(args) -> Report:
+def _cmd_oracle(args, report: Report):
+    """oracle excess and oracle singular: one seeded experiment each."""
     oracle = _oracle()
-    degrees = _parse_degrees(args.degrees)
-    if args.seed is None:
-        args.seed = oracle.DEFAULT_SEED
-    report = Report(
-        {"command": "oracle excess", "r": args.r, "a": args.a, "degrees": degrees,
-         "field": args.field, "mode": args.mode, "trials": args.trials,
-         "seed": args.seed, "m_max": args.m_max, "format": args.format}
-    )
-    degrees = _sorted_degrees(report, degrees)
     field = oracle.fields.parse_field(args.field)
-    result = oracle.excess_experiment(
-        args.r, degrees, args.a, field, mode=args.mode, trials=args.trials,
-        seed=args.seed, m_max=args.m_max,
-    )
-    _add_experiment(report, result)
-    return report
-
-
-def _cmd_oracle_singular(args) -> Report:
-    oracle = _oracle()
-    if args.seed is None:
-        args.seed = oracle.DEFAULT_SEED
-    report = Report(
-        {"command": "oracle singular", "r": args.r, "ell": args.ell,
-         "field": args.field, "mode": args.mode, "trials": args.trials,
-         "seed": args.seed, "format": args.format}
-    )
-    field = oracle.fields.parse_field(args.field)
-    result = oracle.singular_experiment(
-        args.r, args.ell, field, mode=args.mode, trials=args.trials, seed=args.seed,
-    )
-    _add_experiment(report, result)
-    return report
-
-
-def _add_experiment(report: Report, result):
+    run = {"mode": args.mode, "trials": args.trials, "seed": args.seed}
+    if args.oracle_command == "excess":
+        degrees = _sorted_degrees(report, args.degrees)
+        result = oracle.excess_experiment(args.r, degrees, args.a, field, **run)
+    else:
+        result = oracle.singular_experiment(args.r, args.ell, field, **run)
     report.add("mode", result.mode, "exact", "exhaustive or sampled")
     report.add("trials", result.trials, "exact", "tuples examined")
     report.add("hits", result.hits, "exact", "tuples inside the locus")
@@ -410,8 +365,7 @@ def _poonen_check() -> bool:
     )
 
 
-def _cmd_selftest(args) -> Report:
-    report = Report({"command": "selftest", "format": args.format})
+def _cmd_selftest(args, report: Report):
     failures = 0
     for name, fn, expected in SELFTEST_CHECKS:
         actual = fn()
@@ -422,13 +376,14 @@ def _cmd_selftest(args) -> Report:
     report.add("failures", failures, "exact", "total mismatches")
     if failures:
         raise InvariantError(f"selftest found {failures} mismatches")
-    return report
 
 
 # -- parser ---------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The only declaration of each subcommand's arguments; their order here
+    is the order of the echoed config."""
     parser = argparse.ArgumentParser(
         prog="excodim",
         description="Codimension bounds for hypersurface tuples with excess "
@@ -437,88 +392,71 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def finish(p, fn):
+        """Every subcommand's last argument, --format, and its handler."""
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("bounds", help="full stratum analysis")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--degrees", required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("exact", help="exact base-stratum codimension")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--degrees", required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_exact)
+    for name, summary, fn in (("bounds", "full stratum analysis", _cmd_bounds),
+                              ("exact", "exact base-stratum codimension", _cmd_exact)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--a", type=int, default=1)
+        p.add_argument("--degrees", type=_parse_degrees, required=True)
+        finish(p, fn)
 
     p = sub.add_parser("slope", help="cone membership and guaranteed gap")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--degrees", required=True)
-    add_format(p)
-    p.set_defaults(fn=_cmd_slope)
+    p.add_argument("--degrees", type=_parse_degrees, required=True)
+    finish(p, _cmd_slope)
 
-    p = sub.add_parser("example", help="the worked running example")
-    add_format(p)
-    p.set_defaults(fn=_cmd_example)
+    finish(sub.add_parser("example", help="the worked running example"), _cmd_example)
 
     papps = sub.add_parser("apps", help="application verdicts")
     apps_sub = papps.add_subparsers(dest="apps_command", required=True)
-
-    p = apps_sub.add_parser("singular", help="singular-hypersurface thresholds")
-    p.add_argument("--r", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--sweep", action="store_true")
-    p.add_argument("--r-min", type=int, default=2)
-    p.add_argument("--r-max", type=int, default=8)
-    p.add_argument("--ell-min", type=int, default=3)
-    p.add_argument("--ell-max", type=int, default=20)
-    add_format(p)
-    p.set_defaults(fn=_cmd_apps_singular)
-
-    p = apps_sub.add_parser("lines", help="lines-through-a-point verdicts")
-    p.add_argument("--r", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--sweep", action="store_true")
-    p.add_argument("--r-min", type=int, default=2)
-    p.add_argument("--r-max", type=int, default=8)
-    p.add_argument("--d-min", type=int, default=3)
-    p.add_argument("--d-max", type=int, default=10)
-    add_format(p)
-    p.set_defaults(fn=_cmd_apps_lines)
+    for name, summary, inner, inner_max, fn in (
+        ("singular", "singular-hypersurface thresholds", "ell", 20, _cmd_apps_singular),
+        ("lines", "lines-through-a-point verdicts", "d", 10, _cmd_apps_lines),
+    ):
+        p = apps_sub.add_parser(name, help=summary)
+        p.add_argument("--r", type=int)
+        p.add_argument(f"--{inner}", type=int)
+        p.add_argument("--sweep", action="store_true")
+        p.add_argument("--r-min", type=int, default=2)
+        p.add_argument("--r-max", type=int, default=8)
+        p.add_argument(f"--{inner}-min", type=int, default=3)
+        p.add_argument(f"--{inner}-max", type=int, default=inner_max)
+        finish(p, fn)
 
     poracle = sub.add_parser("oracle", help="finite-field experiments")
     oracle_sub = poracle.add_subparsers(dest="oracle_command", required=True)
+    pexcess = oracle_sub.add_parser("excess", help="excess-intersection experiment")
+    pexcess.add_argument("--r", type=int, required=True)
+    pexcess.add_argument("--a", type=int, default=1)
+    pexcess.add_argument("--degrees", type=_parse_degrees, required=True)
+    psingular = oracle_sub.add_parser("singular", help="positive-dimensional singular locus")
+    psingular.add_argument("--r", type=int, required=True)
+    psingular.add_argument("--ell", type=int, required=True)
+    for p in (pexcess, psingular):
+        p.add_argument("--field", default="2")
+        p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)  # None: the oracle's DEFAULT_SEED
+        finish(p, _cmd_oracle)
 
-    p = oracle_sub.add_parser("excess", help="excess-intersection experiment")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--field", default="2")
-    p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)  # None: the oracle's DEFAULT_SEED
-    p.add_argument("--m-max", type=int, default=2)
-    add_format(p)
-    p.set_defaults(fn=_cmd_oracle_excess)
-
-    p = oracle_sub.add_parser("singular", help="positive-dimensional singular locus")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--field", default="2")
-    p.add_argument("--mode", choices=["auto", "exhaustive", "sampled"], default="auto")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)  # None: the oracle's DEFAULT_SEED
-    add_format(p)
-    p.set_defaults(fn=_cmd_oracle_singular)
-
-    p = sub.add_parser("selftest", help="verify the pinned known values")
-    add_format(p)
-    p.set_defaults(fn=_cmd_selftest)
+    finish(sub.add_parser("selftest", help="verify the pinned known values"), _cmd_selftest)
 
     return parser
+
+
+def _config(args) -> dict:
+    """The echoed configuration: the subcommand path, then each argument of
+    the subcommand in the order ``_build_parser`` declares it."""
+    fields = vars(args)
+    path_dests = ("command", "apps_command", "oracle_command")  # the subparsers' dests
+    path = " ".join(fields[dest] for dest in path_dests if dest in fields)
+    return {"command": path,
+            **{k: v for k, v in fields.items() if k not in path_dests and k != "fn"}}
 
 
 def run(argv=None) -> int:
@@ -528,7 +466,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        report = args.fn(args)
+        if "seed" in vars(args) and args.seed is None:
+            # the default lives with the oracle, which only these commands load
+            args.seed = _oracle().DEFAULT_SEED
+        report = Report(_config(args))
+        args.fn(args, report)
         print(report.render(args.format))
         return 0
     except ParameterError as exc:
@@ -543,7 +485,15 @@ def run(argv=None) -> int:
 
 
 def main():
-    code = run()
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``excodim ... | head``): send the rest to
+        # devnull, so the flush at exit cannot fail again, and exit as a
+        # process that SIGPIPE killed would, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
     # the report is out: spare the exit the collector's pass over every
     # object the run left alive
     gc.freeze()

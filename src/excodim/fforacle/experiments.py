@@ -67,7 +67,7 @@ BudgetError.  Both checks compare through ``_crosscheck_sample``.  A failed
 check raises ``InvariantError`` naming the first failing sample as
 ``poly_to_line`` lines with its seed and chunk, so it can be replayed.
 
-The mode, trials, seed and m_max are checked before any work; a bad value,
+The mode, trials and seed are checked before any work; a bad value,
 or trials given to exhaustive mode, raises ParameterError.
 """
 
@@ -101,6 +101,7 @@ SLOW_EXHAUSTIVE_LIMIT = 4096  # per-sample dimension detection is expensive
 MARKED_SET_BUDGET = 5_000_000
 CROSSCHECK_SAMPLES = 48  # excess samples compared with the Hilbert reference per run
 VERIFY_SAMPLES = 24  # plane forms checked against the repeated-factor set per run
+PROBE_M_MAX = 2  # extension degrees the crosscheck's point probe counts over
 
 
 @dataclass(frozen=True)
@@ -247,8 +248,7 @@ def _crosscheck_sample(field: Field, r: int, degrees, row: np.ndarray, seed: int
 
 
 def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
-                      trials: int | None = None, seed: int = DEFAULT_SEED,
-                      m_max: int = 2) -> ExperimentResult:
+                      trials: int | None = None, seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Estimate the codimension of the locus of tuples whose common vanishing
     locus has dimension at least r - k + a, and attach the predicted value.
 
@@ -260,8 +260,6 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     if a < 1:
         raise ParameterError(f"need a >= 1, got {a}")
     check_seed(seed)
-    if not 1 <= m_max <= 3:
-        raise ParameterError(f"need 1 <= m_max <= 3, got {m_max}")
     threshold = r - k + a
     if threshold < 0:
         raise ParameterError(f"need r - k + a >= 0, got {threshold}")
@@ -286,7 +284,7 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     rows = np.array([row for row, _, _ in checked])
     hil_dims = batch_projective_dim_hilbert(field, r, degrees, rows)
     fits = [i for i, hil in enumerate(hil_dims) if hil is not None]
-    probes = batch_projective_dim_points(field, r, degrees, rows[fits], m_max)
+    probes = batch_projective_dim_points(field, r, degrees, rows[fits], PROBE_M_MAX)
     for i, probe in zip(fits, probes):
         row, hit, chunk = checked[i]
         _crosscheck_sample(field, r, degrees, row, seed, chunk, threshold, hit, hil_dims[i], probe)

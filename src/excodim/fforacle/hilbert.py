@@ -49,8 +49,10 @@ in lockstep, one Macaulay stack per step.  A sample leaves its group once it
 is decided.  A window that needs more than MAX_WINDOW_STEPS degrees, or a
 piece over the matrix budget, puts its sample over budget:
 ``batch_projective_dim_hilbert`` gives None for it, and
-``projective_dim_hilbert`` raises its BudgetError.  The budgets are module
-constants read at each call.
+``projective_dim_hilbert`` raises its BudgetError.  ``batch_dim_at_least``
+raises BudgetError before it builds any restriction map when a map, or one
+row of a section piece, would hold more than MAX_MATRIX_ENTRIES entries.
+The budgets are module constants read at each call.
 
 The split size of a stack is not the budget.  One piece may hold up to
 MAX_MATRIX_ENTRIES (4M) entries before it raises BudgetError, but a stack is
@@ -102,10 +104,10 @@ def _ring_of(generators, field, r):
     return field, r
 
 
-def _check_budget(t: int, nrows: int, ncols: int):
+def _check_budget(t: int, nrows: int, ncols: int, what: str = "piece"):
     if nrows * ncols > MAX_MATRIX_ENTRIES:
         raise BudgetError(
-            f"degree-{t} piece needs a {nrows}x{ncols} matrix, over the budget"
+            f"degree-{t} {what} needs a {nrows}x{ncols} matrix, over the budget"
         )
 
 
@@ -348,10 +350,18 @@ def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
     if s > r:
         return ~hit
     b = r - s
+    sections = []
     for degrees, members, coeffs in groups:
         if len(degrees) <= b:
             continue  # fewer than b + 1 live forms: certified in
         t = sum(sorted((d - 1 for d in degrees), reverse=True)[: b + 1]) + 1
+        # refuse a map, or a piece even one row of which is over the budget,
+        # before any map is built
+        for d in sorted(set(degrees)):
+            _check_budget(d, n_monomials(r, d), n_monomials(b, d), "restriction map")
+        _check_budget(t, 1, n_monomials(b, t))
+        sections.append((degrees, members, coeffs, t))
+    for degrees, members, coeffs, t in sections:
         ext, emb = section_field(field)
         coeffs = [emb[c] for c in coeffs]
         for k in range(SECTION_TRIES):

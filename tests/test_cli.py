@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -167,7 +169,6 @@ def test_argument_errors_exit_2(capsys):
      "--trials", "5"),
     ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--threads", "2"),
     ("oracle", "singular", "--r", "2", "--ell", "3", "--threads", "2"),
-    # every crosscheck sample is over budget here, so no point probe runs
     ("oracle", "excess", "--r", "4", "--degrees", "2,2", "--trials", "300", "--m-max", "9"),
     ("oracle", "excess", "--r", "2", "--degrees", "2,2", "--trials", "300", "--m-max", "0"),
     ("oracle", "excess", "--r", "2", "--degrees", "1,1", "--seed", "-1"),
@@ -178,9 +179,9 @@ def test_argument_errors_exit_2(capsys):
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    if "--threads" in argv:
+    if argv[-2] in ("--threads", "--m-max"):
         # a removed flag is rejected by the argument parser
-        assert "unrecognized arguments: --threads 2" in err
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
     else:
         assert err.startswith("error: ")
 
@@ -210,6 +211,61 @@ def test_one_point_sweep_runs(capsys):
     assert out.splitlines()[0].startswith("r,d,") and len(out.splitlines()) == 2
 
 
+def test_sweep_over_budget_exits_3_before_any_row(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "apps", "lines", "--sweep", "--r-max", "2000",
+                             "--d-max", "2000", "--format", "csv")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (f"budget exhausted: a sweep of 1999x1998 points is over the budget "
+                   f"of {cli.MAX_SWEEP_ROWS} rows\n")
+
+
+def test_default_sweeps_run_up_to_the_budget(capsys, monkeypatch):
+    # the default sweeps have 56 (lines) and 7 x 18 = 126 (singular) rows
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 56)
+    code, out, _ = run_cli(capsys, "apps", "lines", "--sweep", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 56
+    code, out, err = run_cli(capsys, "apps", "singular", "--sweep", "--format", "csv")
+    assert (code, out) == (3, "") and "a sweep of 7x18 points" in err
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("bounds", "--r", "4", "--degrees", "6,3,5,4"),
+     [("command", "bounds"), ("r", 4), ("a", 1), ("degrees", [6, 3, 5, 4])]),
+    (("exact", "--r", "4", "--a", "2", "--degrees", "2,3,4,5"),
+     [("command", "exact"), ("r", 4), ("a", 2), ("degrees", [2, 3, 4, 5])]),
+    (("slope", "--r", "3", "--degrees", "3,4,5"),
+     [("command", "slope"), ("r", 3), ("degrees", [3, 4, 5])]),
+    (("example",), [("command", "example")]),
+    (("apps", "singular", "--r", "3", "--ell", "5"),
+     [("command", "apps singular"), ("r", 3), ("ell", 5), ("sweep", False), ("r_min", 2),
+      ("r_max", 8), ("ell_min", 3), ("ell_max", 20)]),
+    (("apps", "singular", "--sweep", "--r-max", "3", "--ell-min", "4", "--ell-max", "6"),
+     [("command", "apps singular"), ("r", None), ("ell", None), ("sweep", True), ("r_min", 2),
+      ("r_max", 3), ("ell_min", 4), ("ell_max", 6)]),
+    (("apps", "lines", "--r", "5", "--d", "4"),
+     [("command", "apps lines"), ("r", 5), ("d", 4), ("sweep", False), ("r_min", 2),
+      ("r_max", 8), ("d_min", 3), ("d_max", 10)]),
+    (("apps", "lines", "--sweep", "--d-min", "5"),
+     [("command", "apps lines"), ("r", None), ("d", None), ("sweep", True), ("r_min", 2),
+      ("r_max", 8), ("d_min", 5), ("d_max", 10)]),
+    (("oracle", "excess", "--r", "2", "--degrees", "2,1", "--field", "3", "--mode", "sampled",
+      "--trials", "50"),
+     [("command", "oracle excess"), ("r", 2), ("a", 1), ("degrees", [2, 1]), ("field", "3"),
+      ("mode", "sampled"), ("trials", 50), ("seed", 271828)]),
+    (("oracle", "singular", "--r", "2", "--ell", "3", "--mode", "exhaustive", "--seed", "7"),
+     [("command", "oracle singular"), ("r", 2), ("ell", 3), ("field", "2"),
+      ("mode", "exhaustive"), ("trials", None), ("seed", 7)]),
+    (("selftest",), [("command", "selftest")]),
+], ids=["bounds", "exact", "slope", "example", "apps-singular", "apps-singular-sweep",
+        "apps-lines", "apps-lines-sweep", "oracle-excess", "oracle-singular", "selftest"])
+def test_config_echoes_the_arguments_in_declaration_order(capsys, argv, config):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["config"].items()) == [*config, ("format", "json")]
+
+
 def test_r4_excess_warns_of_unchecked_samples(capsys):
     code, out, _ = run_cli(capsys, "oracle", "excess", "--r", "4", "--degrees", "1,2",
                            "--a", "1", "--trials", "300", "--seed", "5", "--format", "json")
@@ -236,6 +292,17 @@ def test_singular_exhaustive_beyond_the_plane_exits_3(capsys):
     assert "over budget" in err
 
 
+@pytest.mark.parametrize("r", ["8", "9"])
+def test_section_test_over_budget_exits_3_before_building_maps(capsys, r):
+    # at r = 8 the degree-50 section piece alone has 264385836 columns
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", "singular", "--r", r, "--ell", "8",
+                             "--trials", "1")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exhausted: ")
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
@@ -255,12 +322,18 @@ def test_default_seed_is_fixed(capsys):
     assert outs[0] == outs[1]
 
 
-def run_fresh(argv, **env):
-    """Run argv under a fresh interpreter with this excodim and no
-    OPENBLAS_NUM_THREADS unless env sets it; the completed process."""
+def fresh_env(**env):
+    """The environment of a fresh interpreter with this excodim and no
+    OPENBLAS_NUM_THREADS unless env sets it."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [base.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, *argv], env={**base, **env}, capture_output=True,
+    return {**base, **env}
+
+
+def run_fresh(argv, **env):
+    """Run argv under a fresh interpreter (``fresh_env``); the completed
+    process."""
+    return subprocess.run([sys.executable, *argv], env=fresh_env(**env), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -448,3 +521,18 @@ def test_module_entry_point_exit_codes(argv, code, err):
     jsonschema.validate(report, load_schema())
     values = {r["name"]: r["value"] for r in report["results"]}
     assert (values["trials"], values["hits"]) == (7**6, 2737)
+
+
+def test_closed_stdout_ends_the_run_without_a_traceback():
+    # about 230 KB of CSV, several times what a pipe holds, so the writer
+    # meets the closed end
+    argv = ["-m", "excodim.cli", "apps", "lines", "--sweep", "--r-max", "100", "--d-max", "100",
+            "--format", "csv"]
+    proc = subprocess.Popen([sys.executable, *argv], env=fresh_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "r,d,maximal_components,universal_gap\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) in (141, -signal.SIGPIPE)
+    assert err == ""

@@ -240,8 +240,9 @@ def test_bad_mode_seed_and_m_max_raise_before_any_work():
             restriction_codim(3, 2, 1, seed=seed)
         with pytest.raises(ParameterError, match="seed"):
             poonen_sample(2, 5, gf(2), seed=seed)
+    # m_max is no longer a parameter: the crosscheck's probe uses PROBE_M_MAX
     for m_max in (0, 4, 9):
-        with pytest.raises(ParameterError, match="m_max"):
+        with pytest.raises(TypeError, match="m_max"):
             excess_experiment(4, (2, 2), 1, gf(2), mode="sampled", trials=300, m_max=m_max)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

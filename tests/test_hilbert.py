@@ -428,6 +428,22 @@ def test_budget_error_names_the_sample(monkeypatch):
     assert batch_dim_at_least(f, 2, [2, 1], block[:0], 1).tolist() == []
 
 
+@pytest.mark.parametrize("r, degrees, message", [
+    # a singular octic in P^8 and its partials: the degree-7 map is 6435 x 3432
+    (8, [8] + [7] * 9, r"degree-7 restriction map needs a 6435x3432 matrix"),
+    # maps within the budget, but the degree-33 piece on P^7 has 18643560 columns
+    (8, [5] * 8, r"degree-33 piece needs a 1x18643560 matrix"),
+])
+def test_section_budget_is_checked_before_any_map_is_built(monkeypatch, r, degrees, message):
+    def no_map(*args):
+        raise AssertionError("a restriction map was built")
+
+    monkeypatch.setattr(hilbert, "substitute", no_map)
+    block = np.ones((2, sum(binomial(r + d, r) for d in degrees)), dtype=np.uint16)
+    with pytest.raises(BudgetError, match=message):
+        batch_dim_at_least(gf(2), r, degrees, block, 1)
+
+
 def test_blocks_of_the_wrong_shape_or_codes_are_rejected():
     f = gf(2)
     good = np.zeros((2, 9), dtype=np.uint16)  # a conic and a line on P^2 per row
