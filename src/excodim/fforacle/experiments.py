@@ -8,11 +8,15 @@ only on the seed and configuration.
 
 Both experiments, the excess-intersection locus and the locus of forms with
 a positive-dimensional singular locus, are this one estimator and share
-one code path.  ``_plan`` is the mode and budget policy: the
-exhaustive cap is MAX_EXHAUSTIVE when each decision is cheap (linear
-tuples, or plane curves looked up in a set) and SLOW_EXHAUSTIVE_LIMIT
-otherwise; auto mode runs exhaustive under it, and an exhaustive run over
-it raises BudgetError.  ``_walk`` is the chunk loop: it makes one
+one code path.  ``_plan`` is the mode and budget policy.  A run decided by
+the section test (nonlinear excess tuples, singular forms beyond the plane)
+has its restriction maps and section pieces checked by
+``hilbert.section_budget`` on all its degrees, so a run over that budget
+raises BudgetError before its first draw.  The exhaustive cap is
+SLOW_EXHAUSTIVE_LIMIT for such a run and MAX_EXHAUSTIVE when each decision
+is cheap (linear tuples, or plane curves looked up in a set); auto mode
+runs exhaustive under it, and an exhaustive run over it raises
+BudgetError.  ``_walk`` is the chunk loop: it makes one
 ``decide`` call per chunk, sums the weighted hits and keeps every few rows
 for the crosscheck.
 
@@ -68,7 +72,8 @@ check raises ``InvariantError`` naming the first failing sample as
 ``poly_to_line`` lines with its seed and chunk, so it can be replayed.
 
 The mode, trials and seed are checked before any work; a bad value,
-or trials given to exhaustive mode, raises ParameterError.
+or trials given to exhaustive mode, raises ParameterError.  The budgets of
+``_plan`` are checked next, also before any work.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ from .hilbert import (
     check_seed,
     projective_dim_hilbert,
     restriction_map,
+    section_budget,
 )
 from .linalg import batch_rank, matrix_rank, rows_times
 from .points import PointProbe, batch_projective_dim_points
@@ -128,22 +134,27 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
-def _plan(mode: str, trials: int | None, q: int, total: int, cheap: bool,
-          default: int) -> tuple[str, int]:
+def _plan(mode: str, trials: int | None, q: int, total: int, default: int,
+          section=None) -> tuple[str, int]:
     """The mode and trials of a run over q^total tuples, after checking the
-    given ones.  The exhaustive cap is MAX_EXHAUSTIVE when each decision is
-    cheap and SLOW_EXHAUSTIVE_LIMIT otherwise: auto mode runs exhaustive
-    under it, and an exhaustive run over it raises BudgetError.  A sampled
-    run decides ``trials`` tuples, ``default`` when none are given."""
+    given ones.  A run decided by the section test gives its (r, degrees, s)
+    as ``section``, and ``section_budget`` refuses its maps and pieces over
+    the budget first, before anything is drawn.  The exhaustive cap is
+    SLOW_EXHAUSTIVE_LIMIT for such a run and MAX_EXHAUSTIVE for a cheap one
+    (None): auto mode runs exhaustive under it, and an exhaustive run over it
+    raises BudgetError.  A sampled run decides ``trials`` tuples,
+    ``default`` when none are given."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
     if trials is not None and mode == "exhaustive":
         raise ParameterError("exhaustive mode examines every tuple; trials cannot be set")
-    space, cap = q**total, MAX_EXHAUSTIVE if cheap else SLOW_EXHAUSTIVE_LIMIT
+    space, cap = q**total, MAX_EXHAUSTIVE if section is None else SLOW_EXHAUSTIVE_LIMIT
     if mode == "auto":
         mode = "exhaustive" if space <= cap else "sampled"
+    if section is not None:
+        section_budget(*section)
     if mode == "sampled":
         return mode, default if trials is None else trials
     if space > cap:
@@ -268,7 +279,8 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     q = field.q
     dims = [n_monomials(r, d) for d in degrees]
     linear = all(d == 1 for d in degrees)
-    mode, trials = _plan(mode, trials, q, sum(dims), linear, 20_000)
+    mode, trials = _plan(mode, trials, q, sum(dims), 20_000,
+                         None if linear else (r, degrees, threshold))
 
     def decide(block):
         if linear:
@@ -319,11 +331,12 @@ def singular_membership(F: MultiPoly) -> SingularMembership:
 
 
 def _singular_block(field: Field, r: int, ell: int, rows: np.ndarray,
-                    skip: int) -> tuple[list[int], np.ndarray]:
-    """The degrees and the block [F | dF/dX_0 | ... | dF/dX_r] of the
-    degree-ell forms F in rows, with its first ``skip`` forms left out."""
+                    skip: int) -> np.ndarray:
+    """The block [F | dF/dX_0 | ... | dF/dX_r] of the degree-ell forms F in
+    rows, with its first ``skip`` forms left out: forms of degrees
+    ([ell] + [ell - 1] * (r + 1))[skip:]."""
     forms = [rows] + [partial_rows(field, r, ell, i, rows) for i in range(r + 1)]
-    return ([ell] + [ell - 1] * (r + 1))[skip:], np.concatenate(forms[skip:], axis=1)
+    return np.concatenate(forms[skip:], axis=1)
 
 
 def _all_coeff_rows(q: int, n: int) -> np.ndarray:
@@ -392,7 +405,13 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     predicted = singular_line_codim(r, ell)
     q = field.q
     n = n_monomials(r, ell)
-    mode, trials = _plan(mode, trials, q, n, r == 2, 1_000_000 if r == 2 else 2_000)
+    # beyond the plane the section test on F and its partials decides
+    # dim Sing(F) >= 1.  Euler's relation puts F in the ideal of its partials
+    # unless the characteristic divides ell; F is then left out
+    skip = 1 if ell % field.p else 0
+    degrees = ([ell] + [ell - 1] * (r + 1))[skip:]
+    mode, trials = _plan(mode, trials, q, n, 1_000_000 if r == 2 else 2_000,
+                         None if r == 2 else (r, degrees, 1))
 
     if r == 2:
         marked = repeated_factor_keys(field, r, ell)
@@ -403,14 +422,8 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
                             lambda rows: _is_marked(marked, q, rows))
         _verify_marked(field, r, ell, marked, seed)
     else:
-        # no squarefree shortcut beyond the plane: the section test on F and
-        # its partials decides dim Sing(F) >= 1.  Euler's relation puts F in
-        # the ideal of its partials unless the characteristic divides ell;
-        # F is then left out
-        skip = 1 if ell % field.p else 0
-
         def decide(rows):
-            degrees, block = _singular_block(field, r, ell, rows, skip)
+            block = _singular_block(field, r, ell, rows, skip)
             return batch_dim_at_least(field, r, degrees, block, 1, seed)
 
         hits, _ = _walk(mode, q, [n], trials, seed, decide)
@@ -435,7 +448,7 @@ def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int
                                              dtype=np.uint16)
     rows = np.concatenate([picks, drawn])
     hits = _is_marked(marked, field.q, rows)
-    degrees, block = _singular_block(field, r, ell, rows, 0)
+    degrees, block = [ell] + [ell - 1] * (r + 1), _singular_block(field, r, ell, rows, 0)
     for row, hit, dim in zip(rows, hits, batch_projective_dim_hilbert(field, r, degrees, block)):
         if dim is None:
             raise BudgetError(f"the Hilbert window of a degree-{ell} plane form is over budget")

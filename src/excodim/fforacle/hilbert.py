@@ -46,13 +46,21 @@ d_j, one after another.  The single-sample functions run their list of
 forms as a block of one.  Rows are grouped by which of their forms are
 nonzero, and each group advances through its planes or its window degrees
 in lockstep, one Macaulay stack per step.  A sample leaves its group once it
-is decided.  A window that needs more than MAX_WINDOW_STEPS degrees, or a
-piece over the matrix budget, puts its sample over budget:
+is decided.
+
+A piece costs every row its Macaulay stack holds, the rows of a form that
+restricts to zero on a section plane included, so its cost depends on the
+degrees alone and is known before any matrix is built.  A window that needs
+more than MAX_WINDOW_STEPS degrees, or a piece of more than
+MAX_MATRIX_ENTRIES entries, puts its sample over budget:
 ``batch_projective_dim_hilbert`` gives None for it, and
-``projective_dim_hilbert`` raises its BudgetError.  ``batch_dim_at_least``
-raises BudgetError before it builds any restriction map when a map, or one
-row of a section piece, would hold more than MAX_MATRIX_ENTRIES entries.
-The budgets are module constants read at each call.
+``projective_dim_hilbert`` raises its BudgetError.  ``section_budget`` is
+the section test's budget: from r, the degrees and s alone it gives the
+section degree t, after checking every restriction map and the whole
+degree-t piece.  ``batch_dim_at_least`` calls it for each group of live
+forms before it builds any map, and the experiments call it once on all
+their degrees before they draw anything, so a run over budget stops before
+its first chunk.  The budgets are module constants read at each call.
 
 The split size of a stack is not the budget.  One piece may hold up to
 MAX_MATRIX_ENTRIES (4M) entries before it raises BudgetError, but a stack is
@@ -115,16 +123,12 @@ def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs) -> np.ndarray:
     """Ranks of the degree-t ideal pieces of a nonempty batch of generator
     tuples of degrees at most t (coefficient stacks as in
     ``macaulay_stack``), ranked in stacks of at most
-    min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) entries.  The budget of one piece
-    counts the rows of its nonzero generators only; the first piece over it
-    raises BudgetError."""
-    ncols = n_monomials(r, t)
-    shifts = [n_monomials(r, t - d) for d in degrees]
-    live_rows = sum(n * c.any(axis=1) for n, c in zip(shifts, coeffs))
-    over = np.flatnonzero(live_rows * ncols > MAX_MATRIX_ENTRIES)
-    if over.size:
-        _check_budget(t, int(live_rows[over[0]]), ncols)
-    per = max(1, min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) // max(sum(shifts) * ncols, 1))
+    min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) entries.  A piece costs every row
+    its stack holds, which the degrees alone fix: a piece over the budget
+    raises BudgetError before any stack is built."""
+    nrows, ncols = sum(n_monomials(r, t - d) for d in degrees), n_monomials(r, t)
+    _check_budget(t, nrows, ncols)
+    per = max(1, min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) // max(nrows * ncols, 1))
     parts = ([c[lo:lo + per] for c in coeffs] for lo in range(0, len(coeffs[0]), per))
     return np.concatenate([
         batch_rank(field, macaulay_stack(len(part[0]), r, t, degrees, part)) for part in parts
@@ -334,13 +338,28 @@ def restriction_map(field: Field, r: int, b: int, seed: int, k: int, d: int) -> 
     return rmap
 
 
+def section_budget(r: int, degrees, s: int) -> int:
+    """The degree t of the section pieces of forms of the given degrees on
+    P^r, tested for dim >= s on (r - s)-planes: 1 + sum(d_i - 1) over the
+    r - s + 1 largest degrees.  Every restriction map, and the degree-t piece
+    with all the rows of every form, are checked against MAX_MATRIX_ENTRIES
+    first; the first one over it raises BudgetError."""
+    b = r - s
+    for d in sorted(set(degrees)):
+        _check_budget(d, n_monomials(r, d), n_monomials(b, d), "restriction map")
+    t = sum(sorted((d - 1 for d in degrees), reverse=True)[: b + 1]) + 1
+    _check_budget(t, sum(n_monomials(b, t - d) for d in degrees), n_monomials(b, t))
+    return t
+
+
 def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
                        seed: int = 0) -> np.ndarray:
     """``dim_at_least`` of every row of a block, as a bool array.
 
     Rows with the same live forms share t and the planes, so each such group
     is restricted and ranked as one stack per plane; a row leaves its group
-    at its first empty section.
+    at its first empty section.  The ``section_budget`` of every group is
+    checked before any restriction map is built.
     """
     if s < 0:
         raise ParameterError(f"need s >= 0, got {s}")
@@ -350,17 +369,9 @@ def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
     if s > r:
         return ~hit
     b = r - s
-    sections = []
-    for degrees, members, coeffs in groups:
-        if len(degrees) <= b:
-            continue  # fewer than b + 1 live forms: certified in
-        t = sum(sorted((d - 1 for d in degrees), reverse=True)[: b + 1]) + 1
-        # refuse a map, or a piece even one row of which is over the budget,
-        # before any map is built
-        for d in sorted(set(degrees)):
-            _check_budget(d, n_monomials(r, d), n_monomials(b, d), "restriction map")
-        _check_budget(t, 1, n_monomials(b, t))
-        sections.append((degrees, members, coeffs, t))
+    # fewer than b + 1 live forms: certified in
+    sections = [(degrees, members, coeffs, section_budget(r, degrees, s))
+                for degrees, members, coeffs in groups if len(degrees) > b]
     for degrees, members, coeffs, t in sections:
         ext, emb = section_field(field)
         coeffs = [emb[c] for c in coeffs]

@@ -15,10 +15,11 @@ updated mod p; extension fields use the ADD/MUL tables.  ``matrix_rank`` is
 ``batch_rank`` on a stack of one.
 
 ``rows_times`` multiplies a block of coefficient rows by one matrix: an
-integer matmul mod p on prime fields, a table-lookup sum otherwise.  It
-multiplies two forms in ``polynomials``, restricts forms to the section
-planes of ``hilbert``, multiplies forms by a fixed square in ``experiments``
-and evaluates forms at every point of a projective space in ``points``.
+integer matmul mod p on prime fields, otherwise a sum of table lookups, one
+column of the rows at a time.  It multiplies two forms in ``polynomials``,
+restricts forms to the section planes of ``hilbert``, multiplies forms by a
+fixed square in ``experiments`` and evaluates forms at every point of a
+projective space in ``points``.
 """
 
 from __future__ import annotations
@@ -112,11 +113,16 @@ def matrix_rank(field: Field, matrix: np.ndarray) -> int:
 
 
 def rows_times(field: Field, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """The (n, k) coefficient rows times a (k, m) matrix of field codes."""
+    """The (n, k) coefficient rows times a (k, m) matrix of field codes, k >= 1.
+
+    Over an extension field the product is summed one column of rows at a
+    time, each an (n, m) lookup in the flattened MUL and ADD tables at index
+    a * q + b, so no (n, k, m) array is ever built.
+    """
     if field.e == 1:  # the codes are residues mod p
         return (rows.astype(np.int64) @ matrix.astype(np.int64) % field.p).astype(np.uint16)
-    prods = field.MUL[rows[:, :, None], matrix[None, :, :]]
-    out = prods[:, 0]
-    for j in range(1, prods.shape[1]):
-        out = field.ADD[out, prods[:, j]]
+    q = np.intp(field.q)
+    out = field.MUL.take(rows[:, :1] * q + matrix[0])
+    for j in range(1, len(matrix)):
+        out = field.ADD.take(out * q + field.MUL.take(rows[:, j:j + 1] * q + matrix[j]))
     return out

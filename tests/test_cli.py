@@ -536,3 +536,34 @@ def test_closed_stdout_ends_the_run_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) in (141, -signal.SIGPIPE)
     assert err == ""
+
+
+GOLDEN_REPORTS = sorted((Path(__file__).parent / "data").glob("cli_*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_REPORTS, ids=lambda path: path.stem)
+def test_report_matches_its_golden_file(capsys, path):
+    # each file holds an argv, its exit code and its JSON report minus the
+    # run time; every other value must come out the same
+    golden = json.loads(path.read_text())
+    code, out, _ = run_cli(capsys, *golden["argv"])
+    report = json.loads(out)
+    del report["runtime_ms"]
+    assert (code, report) == (golden["exit_code"], golden["report"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("singular", "--r", "8", "--ell", "8"),
+     "degree-7 restriction map needs a 6435x3432 matrix"),
+    (("excess", "--r", "9", "--degrees", "6,6,6,6", "--trials", "2000"),
+     "degree-21 piece needs a 3264x2024 matrix"),
+])
+def test_section_over_budget_exits_3_before_the_first_draw(capsys, monkeypatch, argv, message):
+    from excodim.fforacle import experiments
+
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(experiments, "_chunk_rng", no_draw)
+    code, out, err = run_cli(capsys, "oracle", *argv)
+    assert (code, out, err) == (3, "", f"budget exhausted: {message}, over the budget\n")

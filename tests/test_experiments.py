@@ -714,3 +714,19 @@ def test_cli_singular_r3_ell4_exits_0(capsys):
     assert code == 0
     values = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
     assert values["trials"] == 20
+
+
+@pytest.mark.parametrize("run", [
+    lambda: singular_experiment(8, 8, gf(2)),
+    lambda: excess_experiment(9, (6, 6, 6, 6), 1, gf(2), mode="sampled", trials=2000),
+], ids=["singular", "excess"])
+def test_section_budget_is_refused_before_the_first_draw(monkeypatch, run):
+    # the degree-7 maps of an octic's partials on P^8, and the degree-21
+    # piece of four sextics on a 3-plane of P^9, are over the budget for
+    # every sample, so no chunk is drawn
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(experiments, "_chunk_rng", no_draw)
+    with pytest.raises(BudgetError):
+        run()

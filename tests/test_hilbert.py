@@ -431,8 +431,9 @@ def test_budget_error_names_the_sample(monkeypatch):
 @pytest.mark.parametrize("r, degrees, message", [
     # a singular octic in P^8 and its partials: the degree-7 map is 6435 x 3432
     (8, [8] + [7] * 9, r"degree-7 restriction map needs a 6435x3432 matrix"),
-    # maps within the budget, but the degree-33 piece on P^7 has 18643560 columns
-    (8, [5] * 8, r"degree-33 piece needs a 1x18643560 matrix"),
+    # maps within the budget, but the degree-33 piece of eight quintics on P^7
+    # holds 8 * C(35, 7) rows of C(40, 7) columns
+    (8, [5] * 8, r"degree-33 piece needs a 53796160x18643560 matrix"),
 ])
 def test_section_budget_is_checked_before_any_map_is_built(monkeypatch, r, degrees, message):
     def no_map(*args):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from excodim.fforacle.fields import gf
-from excodim.fforacle.linalg import batch_rank, matrix_rank
+from excodim.fforacle.linalg import batch_rank, matrix_rank, rows_times
 from excodim.fforacle.polynomials import macaulay_stack, n_monomials
 
 FIELDS = [(2, 1), (3, 1), (7, 1), (2, 2), (2, 3), (3, 2)]  # GF(2,3,7,4,8,9)
@@ -130,3 +130,29 @@ def test_batch_rank_of_a_non_contiguous_view(p, e):
         before = view.copy()
         assert batch_rank(field, view).tolist() == [reference_rank(field, m) for m in view]
         assert np.array_equal(view, before)  # the caller's stack is left alone
+
+
+def reference_rows_times(field, rows, matrix) -> list[list[int]]:
+    """Each entry of rows @ matrix as a sum of scalar table lookups."""
+    out = []
+    for row in rows:
+        out.append([])
+        for col in matrix.T:
+            acc = 0
+            for a, b in zip(row, col):
+                acc = int(field.ADD[acc, field.MUL[a, b]])
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 3), (3, 2)])  # GF(7), GF(8), GF(9)
+@pytest.mark.parametrize("n, k, m", [(5, 4, 3), (3, 1, 6), (0, 3, 2), (1, 7, 1)])
+def test_rows_times_matches_scalar_reference(p, e, n, k, m):
+    field = gf(p, e)
+    rng = np.random.default_rng(100 * p + 10 * e + k)
+    rows = rng.integers(0, field.q, size=(n, k), dtype=np.uint16)
+    matrix = rng.integers(0, field.q, size=(k, m), dtype=np.uint16)
+    rows[rng.random(rows.shape) < 0.3] = 0
+    got = rows_times(field, rows, matrix)
+    assert got.shape == (n, m) and got.dtype == np.uint16
+    assert got.tolist() == reference_rows_times(field, rows, matrix)
