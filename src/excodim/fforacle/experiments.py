@@ -11,12 +11,13 @@ a positive-dimensional singular locus, are this one estimator and share
 one code path.  ``_plan`` is the mode and budget policy.  A run decided by
 the section test (nonlinear excess tuples, singular forms beyond the plane)
 has its restriction maps and section pieces checked by
-``hilbert.section_budget`` on all its degrees, so a run over that budget
-raises BudgetError before its first draw.  The exhaustive cap is
-SLOW_EXHAUSTIVE_LIMIT for such a run and MAX_EXHAUSTIVE when each decision
-is cheap (linear tuples, or plane curves looked up in a set); auto mode
-runs exhaustive under it, and an exhaustive run over it raises
-BudgetError.  ``_walk`` is the chunk loop: it makes one
+``hilbert.section_budget`` on all its degrees, and its section field built
+by ``hilbert.section_field``, so a run over that budget, or whose section
+field is over the table budget, raises BudgetError before its first draw.
+The exhaustive cap is SLOW_EXHAUSTIVE_LIMIT for such a run and
+MAX_EXHAUSTIVE when each decision is cheap (linear tuples, or plane curves
+looked up in a set); auto mode runs exhaustive under it, and an exhaustive
+run over it raises BudgetError.  ``_walk`` is the chunk loop: it makes one
 ``decide`` call per chunk, sums the weighted hits and keeps every few rows
 for the crosscheck.
 
@@ -26,7 +27,9 @@ Hilbert window and the point count) gives the same decision on each tuple
 of such an orbit.  Exhaustive mode therefore decides one tuple per orbit:
 it walks a mixed-radix index with one digit per form, the scaling class of
 that form (zero, or a vector whose top nonzero coefficient is one), and
-counts a hit with the weight (q - 1)^(nonzero forms) of its orbit.
+counts a hit with the weight (q - 1)^(nonzero forms) of its orbit.  The
+class rows, and the digit rows and keys of coefficient vectors, come from
+``fields``, their one owner; the points of ``points`` are the same classes.
 ``trials`` still counts every tuple, q^total.  Over GF(2) every orbit is a
 single tuple and the walk is the plain base-2 enumeration.
 
@@ -87,7 +90,7 @@ import numpy as np
 from ..applications import singular_line_codim
 from ..errors import BudgetError, InvariantError, ParameterError
 from ..strata import span_stratum_exact
-from .fields import Field, gf
+from .fields import Field, _all_coeff_rows, _class_rows, _digits, _n_classes, _row_keys, gf
 from .hilbert import (
     batch_dim_at_least,
     batch_projective_dim_hilbert,
@@ -95,6 +98,7 @@ from .hilbert import (
     projective_dim_hilbert,
     restriction_map,
     section_budget,
+    section_field,
 )
 from .linalg import batch_rank, matrix_rank, rows_times
 from .points import PointProbe, batch_projective_dim_points
@@ -134,12 +138,13 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
-def _plan(mode: str, trials: int | None, q: int, total: int, default: int,
+def _plan(mode: str, trials: int | None, field: Field, total: int, default: int,
           section=None) -> tuple[str, int]:
     """The mode and trials of a run over q^total tuples, after checking the
     given ones.  A run decided by the section test gives its (r, degrees, s)
-    as ``section``, and ``section_budget`` refuses its maps and pieces over
-    the budget first, before anything is drawn.  The exhaustive cap is
+    as ``section``: ``section_budget`` refuses its maps and pieces over the
+    budget, and ``section_field`` a section field over the table budget,
+    both before anything is drawn.  The exhaustive cap is
     SLOW_EXHAUSTIVE_LIMIT for such a run and MAX_EXHAUSTIVE for a cheap one
     (None): auto mode runs exhaustive under it, and an exhaustive run over it
     raises BudgetError.  A sampled run decides ``trials`` tuples,
@@ -150,41 +155,18 @@ def _plan(mode: str, trials: int | None, q: int, total: int, default: int,
         raise ParameterError(f"need trials >= 1, got {trials}")
     if trials is not None and mode == "exhaustive":
         raise ParameterError("exhaustive mode examines every tuple; trials cannot be set")
-    space, cap = q**total, MAX_EXHAUSTIVE if section is None else SLOW_EXHAUSTIVE_LIMIT
+    space, cap = field.q**total, MAX_EXHAUSTIVE if section is None else SLOW_EXHAUSTIVE_LIMIT
     if mode == "auto":
         mode = "exhaustive" if space <= cap else "sampled"
     if section is not None:
         section_budget(*section)
+        section_field(field)
     if mode == "sampled":
         return mode, default if trials is None else trials
     if space > cap:
-        raise BudgetError(f"exhaustive run over {q}^{total} tuples is over budget "
+        raise BudgetError(f"exhaustive run over {field.q}^{total} tuples is over budget "
                           f"(cap {cap}); use sampled mode")
     return mode, space
-
-
-def _digits(values: np.ndarray, q: int, n: int) -> np.ndarray:
-    """The n base-q digits of each value, least significant first."""
-    out = np.empty((len(values), n), dtype=np.uint16)
-    for j in range(n):
-        values, out[:, j] = np.divmod(values, q)
-    return out
-
-
-def _n_classes(q: int, n: int) -> int:
-    """Scaling classes of vectors of n coefficients: zero and the lines."""
-    return 1 + (q**n - 1) // (q - 1)
-
-
-def _class_rows(q: int, n: int, x: np.ndarray) -> np.ndarray:
-    """The coefficient row of each scaling class x of vectors of n
-    coefficients.  Class 0 is zero; class x = 1 + (q^j - 1)/(q - 1) + t with
-    0 <= t < q^j is the vector of base-q value q^j + t, whose top nonzero
-    coefficient is the code 1, that is field.one.  Over GF(2) class x is the
-    vector of value x."""
-    starts = 1 + (q ** np.arange(n, dtype=np.int64) - 1) // (q - 1)
-    j = np.maximum(np.searchsorted(starts, x, side="right") - 1, 0)
-    return _digits(q**j + x - starts[j], q, n)
 
 
 def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +261,7 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     q = field.q
     dims = [n_monomials(r, d) for d in degrees]
     linear = all(d == 1 for d in degrees)
-    mode, trials = _plan(mode, trials, q, sum(dims), 20_000,
+    mode, trials = _plan(mode, trials, field, sum(dims), 20_000,
                          None if linear else (r, degrees, threshold))
 
     def decide(block):
@@ -337,16 +319,6 @@ def _singular_block(field: Field, r: int, ell: int, rows: np.ndarray,
     ([ell] + [ell - 1] * (r + 1))[skip:]."""
     forms = [rows] + [partial_rows(field, r, ell, i, rows) for i in range(r + 1)]
     return np.concatenate(forms[skip:], axis=1)
-
-
-def _all_coeff_rows(q: int, n: int) -> np.ndarray:
-    """All q^n coefficient vectors, little-endian in the row index."""
-    return _digits(np.arange(q**n, dtype=np.int64), q, n)
-
-
-def _row_keys(q: int, rows: np.ndarray) -> np.ndarray:
-    """The uint64 base-q value of each row, the inverse of ``_digits``."""
-    return rows.astype(np.uint64) @ np.uint64(q) ** np.arange(rows.shape[1], dtype=np.uint64)
 
 
 def _is_marked(marked: np.ndarray, q: int, rows: np.ndarray) -> np.ndarray:
@@ -410,7 +382,7 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     # unless the characteristic divides ell; F is then left out
     skip = 1 if ell % field.p else 0
     degrees = ([ell] + [ell - 1] * (r + 1))[skip:]
-    mode, trials = _plan(mode, trials, q, n, 1_000_000 if r == 2 else 2_000,
+    mode, trials = _plan(mode, trials, field, n, 1_000_000 if r == 2 else 2_000,
                          None if r == 2 else (r, degrees, 1))
 
     if r == 2:

@@ -12,6 +12,15 @@ first candidate in that integer order, which makes every table reproducible.
 
 Arithmetic is table lookup: ``ADD``, ``MUL``, ``NEG`` and ``INV`` are numpy
 arrays indexed by codes.
+
+This module is also the one owner of the base-q digit rows of coefficient
+vectors: ``_digits`` and its inverse ``_row_keys``, every vector
+(``_all_coeff_rows``), and the scaling classes (``_class_rows``), zero and
+one vector per line, whose last nonzero coefficient is the code 1.  That code
+is ``Field.one`` in every field.  The class rows are the points of projective
+space (``points.projective_points``), the exhaustive walk's forms and the
+plane's square factors (``experiments``); the field tables take their
+base-p digits from ``_digits``.
 """
 
 from __future__ import annotations
@@ -25,6 +34,40 @@ from ..errors import BudgetError, ParameterError
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 SUPPORTED_EXTENSIONS = (1, 2, 3)
 MAX_TABLE_Q = 1024
+
+
+def _digits(values: np.ndarray, q: int, n: int) -> np.ndarray:
+    """The n base-q digits of each value, least significant first."""
+    out = np.empty((len(values), n), dtype=np.uint16)
+    for j in range(n):
+        values, out[:, j] = np.divmod(values, q)
+    return out
+
+
+def _row_keys(q: int, rows: np.ndarray) -> np.ndarray:
+    """The uint64 base-q value of each row, the inverse of ``_digits``."""
+    return rows.astype(np.uint64) @ np.uint64(q) ** np.arange(rows.shape[1], dtype=np.uint64)
+
+
+def _all_coeff_rows(q: int, n: int) -> np.ndarray:
+    """All q^n coefficient vectors, little-endian in the row index."""
+    return _digits(np.arange(q**n, dtype=np.int64), q, n)
+
+
+def _n_classes(q: int, n: int) -> int:
+    """Scaling classes of vectors of n coefficients: zero and the lines."""
+    return 1 + (q**n - 1) // (q - 1)
+
+
+def _class_rows(q: int, n: int, x: np.ndarray) -> np.ndarray:
+    """The coefficient row of each scaling class x of vectors of n
+    coefficients.  Class 0 is zero; class x = 1 + (q^j - 1)/(q - 1) + t with
+    0 <= t < q^j is the vector of base-q value q^j + t, whose top nonzero
+    coefficient is the code 1, that is field.one.  Over GF(2) class x is the
+    vector of value x."""
+    starts = 1 + (q ** np.arange(n, dtype=np.int64) - 1) // (q - 1)
+    j = np.maximum(np.searchsorted(starts, x, side="right") - 1, 0)
+    return _digits(q**j + x - starts[j], q, n)
 
 
 def _poly_trim(a):
@@ -166,21 +209,14 @@ class Field:
                 inv[a] = pow(a, p - 2, p)
             self.INV = inv
         else:
-            reps = self._rep_from_code
-            digits = np.zeros((q, n), dtype=np.int64)
-            tmp = reps.copy()
-            for j in range(n):
-                digits[:, j] = tmp % p
-                tmp //= p
+            # add and negate digitwise in the polynomial representation; the
+            # sum table one digit at a time, so no (q, q, n) array is held
+            digits = _digits(self._rep_from_code, p, n)
             add_rep = np.zeros((q, q), dtype=np.int64)
-            neg_rep = np.zeros(q, dtype=np.int64)
-            scale = 1
             for j in range(n):
-                add_rep += ((digits[:, None, j] + digits[None, :, j]) % p) * scale
-                neg_rep += ((-digits[:, j]) % p) * scale
-                scale *= p
+                add_rep += (digits[:, None, j] + digits[None, :, j]) % p * p**j
             self.ADD = self._code_from_rep[add_rep]
-            self.NEG = self._code_from_rep[neg_rep]
+            self.NEG = self._code_from_rep[_row_keys(p, (p - digits) % p)]
 
             k = np.arange(q, dtype=np.int64)
             logs = k - 1  # valid for k >= 1

@@ -65,9 +65,10 @@ its first chunk.  The budgets are module constants read at each call.
 The split size of a stack is not the budget.  One piece may hold up to
 MAX_MATRIX_ENTRIES (4M) entries before it raises BudgetError, but a stack is
 ranked in parts of at most STACK_ENTRIES (2^20) entries, or of one matrix
-when a single piece is larger.  A full chunk of 4096 section matrices,
-46 x 21 each, peaks at about 70 MB split at 4M entries and at about 50 MB
-split at 2^20, in no more time.
+when a single piece is larger.  A full chunk of 4096 section matrices of
+46 x 21, the degree-5 pieces of a cubic and four quadrics on a plane, peaks
+at about 70 MB split at 4M entries and at about 50 MB split at 2^20, in no
+more time.
 """
 
 from __future__ import annotations

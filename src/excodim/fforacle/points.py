@@ -1,4 +1,9 @@
-"""Projective point enumeration and the point-count dimension detector.
+"""Projective points and the point-count dimension detector.
+
+The points of P^r over a field are the nonzero scaling classes of r + 1
+coordinates, the class rows of ``fields._class_rows`` that the exhaustive
+walk also enumerates; ``projective_points`` caches them and this module
+does no digit arithmetic of its own.
 
 A zero-dimensional locus cut out by forms of degrees d_i has at most
 prod(d_i) points over any extension, so a count above that cutoff certifies
@@ -28,7 +33,7 @@ import numpy as np
 
 from ..errors import BudgetError, ParameterError
 from . import hilbert
-from .fields import Field
+from .fields import Field, _class_rows, _n_classes
 from .linalg import rows_times
 from .polynomials import substitute
 
@@ -37,27 +42,13 @@ MAX_POINTS = 300_000
 
 @lru_cache(maxsize=None)
 def projective_points(field: Field, r: int) -> np.ndarray:
-    """All points of projective r-space over the field, as rows of codes
-    normalized so the first nonzero coordinate is 1.  Cached per field
-    singleton and r; callers must not modify the result."""
-    q = field.q
-    blocks = []
-    for j in range(r + 1):
-        tail = r - j
-        n = q**tail
-        block = np.zeros((n, r + 1), dtype=np.uint16)
-        block[:, j] = field.one
-        idx = np.arange(n)
-        for c in range(tail):
-            block[:, j + 1 + c] = (idx // (q ** (tail - 1 - c))) % q
-        blocks.append(block)
-    points = np.vstack(blocks)
+    """All points of projective r-space over the field: the nonzero scaling
+    classes of r + 1 coordinates, as rows of codes whose last nonzero
+    coordinate is 1.  Cached per field singleton and r; callers must not
+    modify the result."""
+    points = _class_rows(field.q, r + 1, np.arange(1, _n_classes(field.q, r + 1)))
     points.flags.writeable = False
     return points
-
-
-def count_projective_points(q: int, r: int) -> int:
-    return (q ** (r + 1) - 1) // (q - 1)
 
 
 @lru_cache(maxsize=64)
@@ -76,7 +67,7 @@ def _common_zeros(ext: Field, emb: np.ndarray, r: int, degrees, coeffs) -> np.nd
     coeffs[j] is the (n, n_monomials(r, degrees[j])) coefficient stack of the
     j-th form, in base-field codes embedded by emb."""
     tables = [monomial_values(ext, r, d) for d in degrees]
-    npoints = count_projective_points(ext.q, r)
+    npoints = tables[0].shape[1]
     n = len(coeffs[0])
     per = max(1, hilbert.STACK_ENTRIES // (max(len(t) for t in tables) * npoints))
     counts = []
@@ -112,7 +103,7 @@ def batch_projective_dim_points(field: Field, r: int, degrees, block,
     active = np.flatnonzero(live.any(axis=1))
     for m in range(1, m_max + 1):
         q_m = field.q**m
-        if not active.size or count_projective_points(q_m, r) > MAX_POINTS:
+        if not active.size or _n_classes(q_m, r + 1) - 1 > MAX_POINTS:
             break
         try:
             ext, emb = field.extension(m)

@@ -21,13 +21,12 @@ from excodim.strata import (
     worked_example,
 )
 from excodim.fforacle.experiments import (
-    _all_coeff_rows,
     excess_experiment,
     poonen_combine,
     restriction_codim,
     singular_experiment,
 )
-from excodim.fforacle.fields import gf
+from excodim.fforacle.fields import _all_coeff_rows, gf
 from excodim.fforacle.hilbert import projective_dim_hilbert
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly

@@ -552,6 +552,22 @@ def test_report_matches_its_golden_file(capsys, path):
     assert (code, report) == (golden["exit_code"], golden["report"])
 
 
+BENCH_REPORTS = [path for path in GOLDEN_REPORTS if path.stem.startswith("cli_bench_")]
+
+
+@pytest.mark.parametrize("path", BENCH_REPORTS, ids=lambda path: path.stem)
+def test_benchmark_tracer_reproduces_the_golden_report(path):
+    # the benchmark's per-layer harness runs the workload argv in process,
+    # with its spans wrapped around the program's entry points
+    golden = json.loads(path.read_text())
+    proc = run_fresh([str(SRC.parent / "bench" / "tracer.py"), *golden["argv"]])
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout)
+    report = json.loads(traced["stdout"])
+    del report["runtime_ms"]
+    assert (traced["exit"], report) == (0, golden["report"])
+
+
 @pytest.mark.parametrize("argv, message", [
     (("singular", "--r", "8", "--ell", "8"),
      "degree-7 restriction map needs a 6435x3432 matrix"),
@@ -567,3 +583,15 @@ def test_section_over_budget_exits_3_before_the_first_draw(capsys, monkeypatch, 
     monkeypatch.setattr(experiments, "_chunk_rng", no_draw)
     code, out, err = run_cli(capsys, "oracle", *argv)
     assert (code, out, err) == (3, "", f"budget exhausted: {message}, over the budget\n")
+
+
+def test_section_field_over_the_table_budget_exits_3_and_linear_runs_do_not(capsys):
+    # a nonlinear run over GF(49) needs the section field GF(7^4); a linear
+    # run is ranked in the base field and needs none
+    code, out, err = run_cli(capsys, "oracle", "excess", "--r", "2", "--degrees", "2,2",
+                             "--field", "49", "--trials", "10")
+    assert (code, out, err) == (
+        3, "", "budget exhausted: GF(7^4) exceeds the table budget (q=2401 > 1024)\n")
+    code, _, _ = run_cli(capsys, "oracle", "excess", "--r", "2", "--degrees", "1,1",
+                         "--field", "49", "--mode", "sampled", "--trials", "2000")
+    assert code == 0

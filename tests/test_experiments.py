@@ -14,12 +14,8 @@ from excodim.fforacle import experiments, hilbert
 from excodim.fforacle.experiments import (
     CHUNK,
     DEFAULT_SEED,
-    _all_coeff_rows,
     _chunk_rng,
     _class_block,
-    _class_rows,
-    _n_classes,
-    _row_keys,
     _singular_generators,
     excess_experiment,
     poonen_combine,
@@ -29,7 +25,14 @@ from excodim.fforacle.experiments import (
     singular_experiment,
     singular_membership,
 )
-from excodim.fforacle.fields import gf, parse_field
+from excodim.fforacle.fields import (
+    _all_coeff_rows,
+    _class_rows,
+    _n_classes,
+    _row_keys,
+    gf,
+    parse_field,
+)
 from excodim.fforacle.hilbert import batch_dim_at_least, dim_at_least, projective_dim_hilbert
 from excodim.fforacle.linalg import batch_rank, matrix_rank
 from excodim.fforacle.points import projective_dim_points
@@ -719,14 +722,19 @@ def test_cli_singular_r3_ell4_exits_0(capsys):
 @pytest.mark.parametrize("run", [
     lambda: singular_experiment(8, 8, gf(2)),
     lambda: excess_experiment(9, (6, 6, 6, 6), 1, gf(2), mode="sampled", trials=2000),
-], ids=["singular", "excess"])
+    lambda: excess_experiment(2, (2, 2), 1, gf(7, 2), mode="sampled", trials=10),
+    lambda: excess_experiment(2, (2, 2), 1, gf(5, 3), mode="sampled", trials=10),
+    lambda: excess_experiment(2, (2, 2), 1, gf(7, 3), mode="sampled", trials=10),
+], ids=["singular", "excess", "gf49", "gf125", "gf343"])
 def test_section_budget_is_refused_before_the_first_draw(monkeypatch, run):
     # the degree-7 maps of an octic's partials on P^8, and the degree-21
     # piece of four sextics on a 3-plane of P^9, are over the budget for
-    # every sample, so no chunk is drawn
+    # every sample, and so are the section fields GF(7^4), GF(5^6) and
+    # GF(7^6) over MAX_TABLE_Q, so no chunk is drawn
     def no_draw(*args):
         raise AssertionError("a chunk was drawn")
 
     monkeypatch.setattr(experiments, "_chunk_rng", no_draw)
     with pytest.raises(BudgetError):
         run()
+

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from excodim.fforacle.linalg import rows_times
 from excodim.fforacle.points import (
     PointProbe,
     batch_projective_dim_points,
-    count_projective_points,
     monomial_values,
     projective_dim_points,
     projective_points,
@@ -21,11 +22,30 @@ def test_projective_point_counts():
     for q, r in [(2, 2), (3, 2), (4, 3), (5, 1)]:
         field = gf(q) if q in (2, 3, 5, 7) else gf(2, 2)
         pts = projective_points(field, r)
-        assert len(pts) == count_projective_points(field.q, r)
-        # all rows normalized: first nonzero coordinate is one
+        assert len(pts) == (field.q ** (r + 1) - 1) // (field.q - 1)
+        # all rows normalized: last nonzero coordinate is one
         for row in pts[:50]:
             nz = [c for c in row if c != 0]
-            assert nz and nz[0] == field.one
+            assert nz and nz[-1] == field.one
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (7, 1), (3, 2)], ids=["q2", "q4", "q7", "q9"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_projective_points_are_the_lines_of_the_coordinate_space(p, e, r):
+    # brute force: the nonzero vectors of F_q^(r+1), grouped by scaling
+    field = gf(p, e)
+    pts = projective_points(field, r)
+    assert not pts.flags.writeable
+
+    def line(vec):
+        return frozenset(tuple(int(field.MUL[c, x]) for x in vec) for c in range(1, field.q))
+
+    lines = {line(vec) for vec in product(range(field.q), repeat=r + 1) if any(vec)}
+    rows = [tuple(int(x) for x in row) for row in pts]
+    assert all([x for x in row if x][-1] == field.one for row in rows)
+    # every line has exactly one point
+    assert len({line(row) for row in rows}) == len(rows) == len(lines)
+    assert {line(row) for row in rows} == lines
 
 
 def test_point_rows_are_distinct():
