@@ -7,12 +7,8 @@ Every hit below is decided by exact linear algebra over the field; nothing is
 floating point except the final logarithm.
 """
 
-from excodim.fforacle.experiments import (
-    excess_experiment,
-    restriction_codim,
-    singular_experiment,
-    singular_membership,
-)
+from excodim.fforacle import projective_dim_hilbert
+from excodim.fforacle.experiments import excess_experiment, restriction_codim, singular_experiment
 from excodim.fforacle.fields import gf
 from excodim.fforacle.polynomials import MultiPoly
 
@@ -39,14 +35,19 @@ print(f"  seed {res.seed}: {res.hits}/{res.trials}  est {res.est_codim:.2f}")
 print("\n" + "=" * 72)
 print("single-form spot checks of the singular-locus detector")
 print("=" * 72)
-f2 = gf(2)
-x0, x1 = MultiPoly.variable(f2, 2, 0), MultiPoly.variable(f2, 2, 1)
-cone = MultiPoly.from_terms(f2, 2, 3, {(2, 1, 0): 1})
+
+
+def sing_dim(F):
+    """dim Sing(F): the Hilbert-window dimension of F and its partials."""
+    return projective_dim_hilbert([F] + [F.partial(i) for i in range(3)])
+
+
+cone = MultiPoly.from_terms(gf(2), 2, 3, {(2, 1, 0): 1})
 print(f"  X0^2*X1 over F_2: singular locus dimension "
-      f"{singular_membership(cone).sing_dim} (derivative of the square drops)")
+      f"{sing_dim(cone)} (derivative of the square drops)")
 smooth = MultiPoly.from_terms(gf(3), 2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
 print(f"  smooth conic over F_3: singular locus dimension "
-      f"{singular_membership(smooth).sing_dim} (empty)")
+      f"{sing_dim(smooth)} (empty)")
 
 print("\n" + "=" * 72)
 print("vanishing on a b-plane imposes exactly C(d+b, b) conditions")

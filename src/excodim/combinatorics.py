@@ -2,9 +2,10 @@
 bound, and a checked extended-integer type.
 
 All values are exact integers kept inside a checked signed 128-bit range;
-anything larger raises OverflowError instead of silently growing (arbitrary
-precision is never needed at in-scope parameter sizes and the check catches
-runaway parameters early).
+anything larger raises BudgetOverflowError, both a BudgetError and an
+OverflowError, instead of silently growing (arbitrary precision is never
+needed at in-scope parameter sizes and the check catches runaway parameters
+early).  Its message gives the value's bit length, not its digits.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, total_ordering
 
-from .errors import ParameterError
+from .errors import BudgetOverflowError, ParameterError
 
 I128_MAX = 2**127 - 1
 I128_MIN = -(2**127)
@@ -20,7 +21,8 @@ I128_MIN = -(2**127)
 
 def _checked(value: int) -> int:
     if not (I128_MIN <= value <= I128_MAX):
-        raise OverflowError(f"value {value} outside the checked 128-bit range")
+        raise BudgetOverflowError(f"a {value.bit_length()}-bit value is outside the checked "
+                                  "128-bit range")
     return value
 
 

@@ -9,5 +9,9 @@ class BudgetError(RuntimeError):
     """A computation would exceed its configured enumeration or memory budget."""
 
 
+class BudgetOverflowError(BudgetError, OverflowError):
+    """An exact value is outside the checked integer range."""
+
+
 class InvariantError(RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""

@@ -42,7 +42,6 @@ _EXPORTS = {
     "poonen_sample": "experiments",
     "restriction_codim": "experiments",
     "singular_experiment": "experiments",
-    "singular_membership": "experiments",
 }
 _SUBMODULES = ("fields", "polynomials", "linalg", "hilbert", "points", "experiments")
 

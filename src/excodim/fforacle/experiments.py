@@ -36,16 +36,20 @@ single tuple and the walk is the plain base-2 enumeration.
 The experiments run their chunks one after another.  A chunk's samples
 form one (n, coefficients) block, built from the class indices in
 exhaustive mode or drawn from the chunk's stream in sampled mode; no chunk
-loop builds a ``MultiPoly`` per sample.  Linear excess tuples are ranked as
-one (n, k, r + 1) stack by ``batch_rank``.  Every other block is decided by
-the linear-section test, one ``batch_dim_at_least`` call per chunk: a
-nonlinear excess block as drawn, and beyond the plane the singular block
-[F | dF/dX_0 | ... | dF/dX_r] of ``_singular_block``, its partials taken by
-``partial_rows``.  A plane curve is looked up in the exact set of forms with
-a repeated factor, the sorted base-q values of their rows, built by
-``repeated_factor_keys`` with one ``rows_times`` product per square H^2 that
-multiplies every cofactor G at once; H runs over one form per scaling class,
-from the same class walk.  An exhaustive plane run counts that set.
+loop builds a ``MultiPoly`` per sample.  ``_walk`` calls the run's decider
+once per chunk, and every decider is a ``functools.partial`` of a
+module-level function, so it pickles.  An excess chunk is one
+``batch_dim_at_least`` call on the block as drawn, which ranks a block of
+linear tuples exactly, as one (n, k, r + 1) stack, and decides any other by
+the linear-section test.  Beyond the plane ``_singular_decide`` makes the
+same call on the singular block [F | dF/dX_0 | ... | dF/dX_r] of
+``_singular_block``, its partials taken by ``partial_rows`` and its degrees
+written once, in ``_singular_degrees``.  In the plane ``_is_marked`` looks
+each curve up in the exact set of forms with a repeated factor, the sorted
+base-q values of their rows, built by ``repeated_factor_keys`` with one
+``rows_times`` product per square H^2 that multiplies every cofactor G at
+once; H runs over one form per scaling class, from the same class walk.  An
+exhaustive plane run counts that set.
 
 For odd ell the singular samples leave F out.  Euler's relation
 ell * F = sum_i X_i dF/dX_i puts F in the ideal of its partials whenever the
@@ -82,7 +86,7 @@ or trials given to exhaustive mode, raises ParameterError.  The budgets of
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +99,11 @@ from .hilbert import (
     batch_dim_at_least,
     batch_projective_dim_hilbert,
     check_seed,
-    projective_dim_hilbert,
     restriction_map,
     section_budget,
     section_field,
 )
-from .linalg import batch_rank, matrix_rank, rows_times
+from .linalg import matrix_rank, rows_times
 from .points import PointProbe, batch_projective_dim_points
 from .polynomials import MultiPoly, macaulay_stack, n_monomials, partial_rows, poly_to_line
 
@@ -263,14 +266,7 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     linear = all(d == 1 for d in degrees)
     mode, trials = _plan(mode, trials, field, sum(dims), 20_000,
                          None if linear else (r, degrees, threshold))
-
-    def decide(block):
-        if linear:
-            # the k x (r+1) coefficient matrix of a linear tuple cuts out a
-            # linear space of projective dimension r - rank
-            return r - batch_rank(field, block.reshape(len(block), k, r + 1)) >= threshold
-        return batch_dim_at_least(field, r, degrees, block, threshold, seed)
-
+    decide = partial(batch_dim_at_least, field, r, degrees, s=threshold, seed=seed)
     hits, checked = _walk(mode, q, dims, trials, seed, decide)
     # one batched reference and one batched point probe over the checked
     # samples, compared in sample order, so the first disagreeing sample is
@@ -291,34 +287,26 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     )
 
 
-@dataclass(frozen=True)
-class SingularMembership:
-    sing_dim: int
-
-
-def _singular_generators(F: MultiPoly) -> list[MultiPoly]:
-    """F and its formal partial derivatives, which cut out Sing(F)."""
-    return [F] + [F.partial(i) for i in range(F.r + 1)]
-
-
-def singular_membership(F: MultiPoly) -> SingularMembership:
-    """Projective dimension of the scheme cut out by F and its formal
-    partial derivatives (the singular locus, scheme-theoretically)."""
-    if F.d < 2:
-        raise ParameterError(f"need deg F >= 2, got {F.d}")
-    field, r = F.field, F.r
-    gens = [g for g in _singular_generators(F) if not g.is_zero]
-    dim = r if not gens else projective_dim_hilbert(gens, field=field, r=r)
-    return SingularMembership(sing_dim=dim)
+def _singular_degrees(r: int, ell: int, skip: int) -> list[int]:
+    """The degrees of the forms of ``_singular_block``."""
+    return ([ell] + [ell - 1] * (r + 1))[skip:]
 
 
 def _singular_block(field: Field, r: int, ell: int, rows: np.ndarray,
                     skip: int) -> np.ndarray:
     """The block [F | dF/dX_0 | ... | dF/dX_r] of the degree-ell forms F in
-    rows, with its first ``skip`` forms left out: forms of degrees
-    ([ell] + [ell - 1] * (r + 1))[skip:]."""
+    rows, with its first ``skip`` forms left out; F and its partials cut out
+    Sing(F)."""
     forms = [rows] + [partial_rows(field, r, ell, i, rows) for i in range(r + 1)]
     return np.concatenate(forms[skip:], axis=1)
+
+
+def _singular_decide(field: Field, r: int, ell: int, skip: int, seed: int,
+                     rows: np.ndarray) -> np.ndarray:
+    """Whether each degree-ell form in rows has dim Sing(F) >= 1, by the
+    section test on its ``_singular_block``."""
+    block = _singular_block(field, r, ell, rows, skip)
+    return batch_dim_at_least(field, r, _singular_degrees(r, ell, skip), block, 1, seed)
 
 
 def _is_marked(marked: np.ndarray, q: int, rows: np.ndarray) -> np.ndarray:
@@ -381,24 +369,19 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     # dim Sing(F) >= 1.  Euler's relation puts F in the ideal of its partials
     # unless the characteristic divides ell; F is then left out
     skip = 1 if ell % field.p else 0
-    degrees = ([ell] + [ell - 1] * (r + 1))[skip:]
     mode, trials = _plan(mode, trials, field, n, 1_000_000 if r == 2 else 2_000,
-                         None if r == 2 else (r, degrees, 1))
+                         None if r == 2 else (r, _singular_degrees(r, ell, skip), 1))
 
     if r == 2:
         marked = repeated_factor_keys(field, r, ell)
         if mode == "exhaustive":
             hits = marked.size  # the set is the exhaustive count
         else:
-            hits, _ = _walk(mode, q, [n], trials, seed,
-                            lambda rows: _is_marked(marked, q, rows))
+            hits, _ = _walk(mode, q, [n], trials, seed, partial(_is_marked, marked, q))
         _verify_marked(field, r, ell, marked, seed)
     else:
-        def decide(rows):
-            block = _singular_block(field, r, ell, rows, skip)
-            return batch_dim_at_least(field, r, degrees, block, 1, seed)
-
-        hits, _ = _walk(mode, q, [n], trials, seed, decide)
+        hits, _ = _walk(mode, q, [n], trials, seed,
+                        partial(_singular_decide, field, r, ell, skip, seed))
 
     est, status = _estimate(hits, trials, q)
     return ExperimentResult(
@@ -420,7 +403,7 @@ def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int
                                              dtype=np.uint16)
     rows = np.concatenate([picks, drawn])
     hits = _is_marked(marked, field.q, rows)
-    degrees, block = [ell] + [ell - 1] * (r + 1), _singular_block(field, r, ell, rows, 0)
+    degrees, block = _singular_degrees(r, ell, 0), _singular_block(field, r, ell, rows, 0)
     for row, hit, dim in zip(rows, hits, batch_projective_dim_hilbert(field, r, degrees, block)):
         if dim is None:
             raise BudgetError(f"the Hilbert window of a degree-{ell} plane form is over budget")

@@ -19,6 +19,10 @@ closure exactly when their ideal contains every degree-t monomial, that is
 h(t) = 0.  Every b-plane meets a variety of dimension >= s, so an empty
 section certifies dim < s.  The outcomes are:
 
+- certified both ways: every form linear.  The forms then cut out a linear
+  space of projective dimension r - rank, so a block whose degrees are all
+  1 is decided by one ``batch_rank`` of its (n, k, r + 1) stack, with no
+  section;
 - certified out: some section is empty;
 - certified in: fewer than b + 1 forms are nonzero (dimension theorem), or
   s = 0 and a section is nonempty (the "plane" is then all of P^r in new
@@ -155,16 +159,24 @@ def check_seed(seed: int):
         raise ParameterError(f"need 0 <= seed < 2**63, got {seed}")
 
 
+def _checked_block(field: Field, r: int, degrees, block) -> np.ndarray:
+    """A block of forms of the given degrees as uint16 codes, after checking
+    its shape and its codes."""
+    width = sum(n_monomials(r, d) for d in degrees)
+    block = np.asarray(block)
+    if block.ndim != 2 or block.shape[1] != width:
+        raise ParameterError(f"need an (n, {width}) block, got shape {block.shape}")
+    if block.size and (block.min() < 0 or block.max() >= field.q):
+        raise ParameterError("coefficient code out of range")
+    return block.astype(np.uint16, copy=False)
+
+
 def _form_stacks(field: Field, r: int, degrees, block) -> tuple[list, np.ndarray]:
     """The coefficient stack of each form of a checked block, and the (n, k)
     mask of which forms of each row are nonzero."""
+    block = _checked_block(field, r, degrees, block)
     widths = [n_monomials(r, d) for d in degrees]
-    block = np.asarray(block)
-    if block.ndim != 2 or block.shape[1] != sum(widths):
-        raise ParameterError(f"need an (n, {sum(widths)}) block, got shape {block.shape}")
-    if block.size and (block.min() < 0 or block.max() >= field.q):
-        raise ParameterError("coefficient code out of range")
-    stacks = np.split(block.astype(np.uint16, copy=False), np.cumsum(widths)[:-1], axis=1)
+    stacks = np.split(block, np.cumsum(widths)[:-1], axis=1)
     live = np.zeros((len(block), len(stacks)), dtype=bool)
     for j, c in enumerate(stacks):
         live[:, j] = c.any(axis=1)
@@ -357,18 +369,25 @@ def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
                        seed: int = 0) -> np.ndarray:
     """``dim_at_least`` of every row of a block, as a bool array.
 
-    Rows with the same live forms share t and the planes, so each such group
+    A block of linear forms is ranked as one (n, k, r + 1) stack.  Otherwise
+    rows with the same live forms share t and the planes, so each such group
     is restricted and ranked as one stack per plane; a row leaves its group
     at its first empty section.  The ``section_budget`` of every group is
-    checked before any restriction map is built.
+    checked before any restriction map is built.  A degree below 1 raises
+    ParameterError: the dimension theorem needs forms of positive degree.
     """
     if s < 0:
         raise ParameterError(f"need s >= 0, got {s}")
+    if min(degrees, default=1) < 1:
+        raise ParameterError(f"need degrees >= 1, got {list(degrees)}")
     check_seed(seed)
+    block = _checked_block(field, r, degrees, block)
+    if s > r:
+        return np.zeros(len(block), dtype=bool)
+    if all(d == 1 for d in degrees):
+        return r - batch_rank(field, block.reshape(len(block), len(degrees), r + 1)) >= s
     groups = _live_groups(field, r, degrees, block)
     hit = np.ones(len(block), dtype=bool)
-    if s > r:
-        return ~hit
     b = r - s
     # fewer than b + 1 live forms: certified in
     sections = [(degrees, members, coeffs, section_budget(r, degrees, s))
@@ -392,10 +411,11 @@ def dim_at_least(generators, s: int, field: Field | None = None, r: int | None =
                  seed: int = 0) -> bool:
     """Whether the common vanishing locus has projective dimension >= s.
 
-    False is certified by an empty linear section.  True is certified when
-    fewer than r - s + 1 forms are nonzero or when s = 0, and probable
-    otherwise (see the module docstring).  The planes depend only on the
-    field, r, s and the seed.
+    Linear forms are decided exactly, by the rank of their coefficient
+    matrix.  Otherwise False is certified by an empty linear section, True
+    is certified when fewer than r - s + 1 forms are nonzero or when s = 0,
+    and probable otherwise (see the module docstring).  The planes depend
+    only on the field, r, s and the seed.
     """
     field, r, degrees, block = _as_block(generators, field, r)
     return bool(batch_dim_at_least(field, r, degrees, block, s, seed)[0])

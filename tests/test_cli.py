@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -446,7 +447,7 @@ def test_star_import_and_submodules_resolve():
         "oracle.no_such_name\n"
     )
     proc = run_fresh(["-c", code])
-    assert proc.stdout.splitlines() == ["[] 24"], proc.stderr
+    assert proc.stdout.splitlines() == ["[] 23"], proc.stderr
     assert ("AttributeError: module 'excodim.fforacle' has no attribute 'no_such_name'"
             in proc.stderr)
 
@@ -595,3 +596,31 @@ def test_section_field_over_the_table_budget_exits_3_and_linear_runs_do_not(caps
     code, _, _ = run_cli(capsys, "oracle", "excess", "--r", "2", "--degrees", "1,1",
                          "--field", "49", "--mode", "sampled", "--trials", "2000")
     assert code == 0
+
+
+def readme_commands():
+    """The ``excodim`` lines of the README's command-line block, as argvs."""
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("excodim ")]
+
+
+def test_readme_commands_exit_0(capsys):
+    commands = readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+
+
+@pytest.mark.parametrize("argv", [
+    "exact --r 1000 --degrees 1000",
+    "bounds --r 200 --degrees 200,200",
+    "oracle excess --r 100 --degrees 50",
+    "exact --r 20000 --degrees 20000",  # a value past Python's 4300-digit str limit
+])
+def test_oversized_values_are_a_budget_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("budget exhausted: a ") and "-bit value" in line and len(line) < 200

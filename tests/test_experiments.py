@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import pickle
 import re
 import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +18,14 @@ from excodim.fforacle.experiments import (
     DEFAULT_SEED,
     _chunk_rng,
     _class_block,
-    _singular_generators,
+    _singular_block,
+    _singular_degrees,
     excess_experiment,
     poonen_combine,
     poonen_sample,
     repeated_factor_keys,
     restriction_codim,
     singular_experiment,
-    singular_membership,
 )
 from excodim.fforacle.fields import (
     _all_coeff_rows,
@@ -33,7 +35,12 @@ from excodim.fforacle.fields import (
     gf,
     parse_field,
 )
-from excodim.fforacle.hilbert import batch_dim_at_least, dim_at_least, projective_dim_hilbert
+from excodim.fforacle.hilbert import (
+    batch_dim_at_least,
+    batch_projective_dim_hilbert,
+    dim_at_least,
+    projective_dim_hilbert,
+)
 from excodim.fforacle.linalg import batch_rank, matrix_rank
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly, n_monomials, poly_from_line, poly_to_line
@@ -266,45 +273,45 @@ def test_linear_rank_dimension_matches_detector():
         assert fast == slow
 
 
-def test_singular_membership_cases():
+def sing_dim(F):
+    """The Hilbert-window dimension of Sing(F), cut out by F and its
+    partials."""
+    return projective_dim_hilbert([F] + [F.partial(i) for i in range(F.r + 1)])
+
+
+def test_singular_locus_dimension_cases():
     f2 = gf(2)
     cone = MultiPoly.from_terms(f2, 2, 3, {(2, 1, 0): 1})  # X0^2 X1
-    assert singular_membership(cone).sing_dim == 1
+    assert sing_dim(cone) == 1
 
     f3 = gf(3)
     smooth_conic = MultiPoly.from_terms(
         f3, 2, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
     )
-    assert singular_membership(smooth_conic).sing_dim == -1
+    assert sing_dim(smooth_conic) == -1
 
     # doubled line times a line is singular along the doubled line
     x0 = MultiPoly.variable(f2, 2, 0)
     x1 = MultiPoly.variable(f2, 2, 1)
-    assert singular_membership(x0 * x0 * x1).sing_dim >= 1
+    assert sing_dim(x0 * x0 * x1) >= 1
 
     cubic_cone = MultiPoly.from_terms(f2, 2, 3, {(3, 0, 0): 1})  # X0^3
-    assert singular_membership(cubic_cone).sing_dim >= 1
+    assert sing_dim(cubic_cone) >= 1
 
 
 def test_repeated_factor_set_is_exactly_positive_singular_locus():
-    # full-space agreement between the marked set and the rank detector
+    # full-space agreement between the marked set and the Hilbert reference,
+    # one batched call on the [F | partials] block of all 1024 cubics (the
+    # zero form cuts out the whole plane)
     field = gf(2)
     marked = repeated_factor_keys(field, 2, 3)
     assert np.array_equal(marked, np.unique(marked)) and not marked.flags.writeable
-    members = set(marked.tolist())
     rows = _all_coeff_rows(2, n_monomials(2, 3))
-    hits = 0
-    for row, key in zip(rows, _row_keys(2, rows).tolist()):
-        F = MultiPoly(field, 2, 3, row)
-        in_marked = key in members
-        if F.is_zero:
-            assert in_marked
-            hits += 1
-            continue
-        positive = singular_membership(F).sing_dim >= 1
-        assert positive == in_marked
-        hits += 1 if positive else 0
-    assert hits == marked.size
+    dims = batch_projective_dim_hilbert(field, 2, _singular_degrees(2, 3, 0),
+                                        _singular_block(field, 2, 3, rows, 0))
+    positive = np.array(dims) >= 1
+    assert positive.tolist() == np.isin(_row_keys(2, rows), marked).tolist()
+    assert np.count_nonzero(positive) == marked.size
     # the set sizes in the plane, over the prime and the extension fields
     sizes = {(2, 3): 50, (2, 4): 456, (2, 5): 7260, (2, 6): 230736,
              (4, 3): 1324, (4, 4): 88768, (8, 3): 37304}
@@ -614,7 +621,7 @@ def test_plane_spot_check_failure_names_the_form(monkeypatch):
     drawn = _chunk_rng(DEFAULT_SEED, 2**31).integers(0, 2, size=(half, 10), dtype=np.uint16)
     assert F.coeffs.tolist() == drawn[0].tolist()
     wrong = int(re.search(r"gives dimension (-?\d+)", message).group(1))
-    assert (singular_membership(F).sing_dim >= 1) != (wrong >= 1)
+    assert (sing_dim(F) >= 1) != (wrong >= 1)
 
 
 @pytest.mark.parametrize("degrees, mode, hits, checked, skipped", [
@@ -675,9 +682,8 @@ def test_euler_drop_keeps_the_singular_decisions(ell, n):
     forms += [x0 * x0 * a + x0 * x1 * b + x1 * x1 * c
               for a, b, c in ([MultiPoly.random(field, r, ell - 2, rng) for _ in range(3)]
                               for _ in range(n // 2))]
-    block = np.array([np.concatenate([g.coeffs for g in _singular_generators(F)])
-                      for F in forms])
-    degrees = [ell] + [ell - 1] * (r + 1)
+    block = _singular_block(field, r, ell, np.array([F.coeffs for F in forms]), 0)
+    degrees = _singular_degrees(r, ell, 0)
     with_f = batch_dim_at_least(field, r, degrees, block, 1, 5)
     without_f = batch_dim_at_least(field, r, degrees[1:], block[:, n_monomials(r, ell):], 1, 5)
     assert with_f.tolist() == without_f.tolist()
@@ -701,8 +707,11 @@ def test_singular_sections_keep_f_for_even_ell(monkeypatch, ell):
         # on the line X_0 = X_2 = 0, but F has one zero there
         x = [MultiPoly.variable(gf(2), 3, i) for i in range(4)]
         F = x[0] * x[0] * x[0] * x[1] + x[2] * x[2] * x[2] * x[3] + x[1].square().square()
-        assert not dim_at_least(_singular_generators(F), 1)
-        assert dim_at_least(_singular_generators(F)[1:], 1)
+        with_f, without_f = (
+            batch_dim_at_least(gf(2), 3, _singular_degrees(3, ell, skip),
+                               _singular_block(gf(2), 3, ell, F.coeffs[None], skip), 1)[0]
+            for skip in (0, 1))
+        assert not with_f and without_f
 
 
 @pytest.mark.parametrize("r, ell", [(3, 4), (4, 3)])
@@ -738,3 +747,32 @@ def test_section_budget_is_refused_before_the_first_draw(monkeypatch, run):
     with pytest.raises(BudgetError):
         run()
 
+
+
+BENCH_ARGVS = {path.stem: json.loads(path.read_text())["argv"]
+               for path in (Path(__file__).parent / "data").glob("cli_bench_*.json")}
+
+
+class Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("run", [
+    lambda: cli.run(BENCH_ARGVS["cli_bench_linear_exhaustive"]),
+    lambda: cli.run(BENCH_ARGVS["cli_bench_plane_gf4"]),
+    lambda: cli.run(BENCH_ARGVS["cli_bench_space_singular"]),
+    lambda: singular_experiment(2, 3, gf(2), mode="sampled"),
+], ids=["linear-exhaustive", "plane-gf4", "space-singular", "plane-singular"])
+def test_run_deciders_pickle(monkeypatch, run):
+    # each run hands _walk a module-level decider that survives a pickle
+    # round trip and decides a seeded block as before
+    def capture(mode, q, dims, trials, seed, decide):
+        raise Captured(q, dims, decide)
+
+    monkeypatch.setattr(experiments, "_walk", capture)
+    with pytest.raises(Captured) as caught:
+        run()
+    q, dims, decide = caught.value.args
+    block = np.random.default_rng(5).integers(0, q, size=(256, sum(dims)), dtype=np.uint16)
+    copy = pickle.loads(pickle.dumps(decide))
+    assert copy(block).tolist() == decide(block).tolist()

@@ -15,6 +15,7 @@ from excodim.fforacle.hilbert import (
     projective_dim_hilbert,
     section_field,
 )
+from excodim.fforacle.linalg import matrix_rank
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import (
     MultiPoly,
@@ -474,3 +475,34 @@ def test_given_ring_must_be_the_forms_ring(field, r):
     # the forms' own ring, given or not, is accepted
     assert dim_at_least([x0], 1, field=gf(3), r=2) and dim_at_least([x0], 1)
     assert projective_dim_hilbert([x0], field=gf(3), r=2) == 1
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_linear_blocks_are_ranked_exactly(monkeypatch, spec, r):
+    # k linear forms cut out a linear space of dimension r - rank: every
+    # decision is exact, and no section plane is restricted to
+    def no_map(*args):
+        raise AssertionError("a restriction map was built")
+
+    monkeypatch.setattr(hilbert, "restriction_map", no_map)
+    field = gf(*spec)
+    rng = np.random.default_rng([field.q, r])
+    for k in range(1, r + 3):
+        block = rng.integers(0, field.q, size=(60, k, r + 1), dtype=np.uint16)
+        block[rng.random((60, k)) < 0.3] = 0  # zero forms in most rows
+        ranks = [matrix_rank(field, row) for row in block]
+        for s in range(r + 2):
+            decided = batch_dim_at_least(field, r, [1] * k, block.reshape(60, -1), s, seed=7)
+            assert decided.tolist() == [r - rank >= s for rank in ranks]
+
+
+def test_forms_of_degree_0_are_refused():
+    # a nonzero constant cuts out nothing, but the dimension theorem's
+    # "fewer than b + 1 live forms" would certify it in
+    one = MultiPoly(gf(2), 2, 0, [1])
+    assert projective_dim_hilbert([one]) == -1
+    with pytest.raises(ParameterError, match="need degrees >= 1"):
+        dim_at_least([one], 0)
+    with pytest.raises(ParameterError, match="need degrees >= 1"):
+        batch_dim_at_least(gf(3), 2, [1, 0], np.zeros((4, 4), dtype=np.uint16), 1)
