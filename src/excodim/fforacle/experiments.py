@@ -14,12 +14,15 @@ has its restriction maps and section pieces checked by
 ``hilbert.section_budget`` on all its degrees, and its section field built
 by ``hilbert.section_field``, so a run over that budget, or whose section
 field is over the table budget, raises BudgetError before its first draw.
-The exhaustive cap is SLOW_EXHAUSTIVE_LIMIT for such a run and
-MAX_EXHAUSTIVE when each decision is cheap (linear tuples, or plane curves
-looked up in a set); auto mode runs exhaustive under it, and an exhaustive
-run over it raises BudgetError.  ``_walk`` is the chunk loop: it makes one
-``decide`` call per chunk, sums the weighted hits and keeps every few rows
-for the crosscheck.
+The one exhaustive cap, MAX_EXHAUSTIVE, counts the scaling-class rows the
+exhaustive walk decides: auto mode runs exhaustive when they fit, and an
+exhaustive run over it raises BudgetError.  An exhaustive plane singular run
+counts the repeated-factor set and walks no rows, so only MARKED_SET_BUDGET
+bounds it, and auto mode always counts that set.  A given ``trials`` means a
+sampled run of that many draws, in auto mode too, and more than MAX_TRIALS
+raises BudgetError.  ``_plan`` also gives the walk its length, and ``_walk``
+is the chunk loop: it makes one ``decide`` call per chunk, sums the weighted
+hits and keeps every few rows for the crosscheck.
 
 Both loci are cones: V(c_1 g_1, ..., c_k g_k) = V(g_1, ..., g_k) for nonzero
 scalars c_i, and every test below (the linear rank, the section test, the
@@ -109,8 +112,8 @@ from .polynomials import MultiPoly, macaulay_stack, n_monomials, partial_rows, p
 
 DEFAULT_SEED = 271828
 CHUNK = 4096
-MAX_EXHAUSTIVE = 2**24
-SLOW_EXHAUSTIVE_LIMIT = 4096  # per-sample dimension detection is expensive
+MAX_EXHAUSTIVE = 2**17  # scaling-class rows an exhaustive walk decides
+MAX_TRIALS = 2**24  # sampled draws: chunk indices stay below 2^12, far from streams 2^31, 2^32 + k
 MARKED_SET_BUDGET = 5_000_000
 CROSSCHECK_SAMPLES = 48  # excess samples compared with the Hilbert reference per run
 VERIFY_SAMPLES = 24  # plane forms checked against the repeated-factor set per run
@@ -141,35 +144,47 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
 
 
-def _plan(mode: str, trials: int | None, field: Field, total: int, default: int,
-          section=None) -> tuple[str, int]:
-    """The mode and trials of a run over q^total tuples, after checking the
-    given ones.  A run decided by the section test gives its (r, degrees, s)
-    as ``section``: ``section_budget`` refuses its maps and pieces over the
-    budget, and ``section_field`` a section field over the table budget,
-    both before anything is drawn.  The exhaustive cap is
-    SLOW_EXHAUSTIVE_LIMIT for such a run and MAX_EXHAUSTIVE for a cheap one
-    (None): auto mode runs exhaustive under it, and an exhaustive run over it
-    raises BudgetError.  A sampled run decides ``trials`` tuples,
-    ``default`` when none are given."""
+def _plan(mode: str, trials: int | None, field: Field, dims, default: int,
+          section=None, counted: bool = False) -> tuple[str, int, int | None]:
+    """The mode, trials and walk length of a run over tuples of forms with
+    ``dims`` coefficients, after checking the given mode and trials.
+
+    An exhaustive run examines all q^total tuples and walks their
+    prod(_n_classes) scaling-class rows.  Auto mode runs exhaustive when no
+    trials are given and those rows fit MAX_EXHAUSTIVE, and an exhaustive
+    run over the cap raises BudgetError.  A ``counted`` run (the plane
+    singular run, which counts its repeated-factor set) walks nothing in
+    exhaustive mode, so no cap applies to it.  A sampled run draws
+    ``trials`` tuples, ``default`` when none are given, and more than
+    MAX_TRIALS raise BudgetError.  A run decided by the section test gives
+    its (r, degrees, s) as ``section``: ``section_budget`` refuses its maps
+    and pieces over the budget, and ``section_field`` a section field over
+    the table budget, both before anything is drawn."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
         raise ParameterError(f"need trials >= 1, got {trials}")
     if trials is not None and mode == "exhaustive":
         raise ParameterError("exhaustive mode examines every tuple; trials cannot be set")
-    space, cap = field.q**total, MAX_EXHAUSTIVE if section is None else SLOW_EXHAUSTIVE_LIMIT
+    if trials is not None and trials > MAX_TRIALS:
+        raise BudgetError(f"{trials} trials are over budget (cap {MAX_TRIALS})")
+    # a form of n coefficients has at least 2^(n - 1) classes, so rows far
+    # over the cap (None) are told without building q^total
+    far = sum(dims) - len(dims) >= MAX_EXHAUSTIVE.bit_length()
+    rows = None if far else math.prod(_n_classes(field.q, n) for n in dims)
+    fits = counted or (rows is not None and rows <= MAX_EXHAUSTIVE)
     if mode == "auto":
-        mode = "exhaustive" if space <= cap else "sampled"
+        mode = "exhaustive" if trials is None and fits else "sampled"
     if section is not None:
         section_budget(*section)
         section_field(field)
     if mode == "sampled":
-        return mode, default if trials is None else trials
-    if space > cap:
-        raise BudgetError(f"exhaustive run over {field.q}^{total} tuples is over budget "
-                          f"(cap {cap}); use sampled mode")
-    return mode, space
+        trials = default if trials is None else trials
+        return mode, trials, trials
+    if not fits:
+        raise BudgetError(f"exhaustive run over {field.q}^{sum(dims)} tuples is over budget: "
+                          f"it walks over {MAX_EXHAUSTIVE} scaling classes; use sampled mode")
+    return mode, field.q ** sum(dims), rows
 
 
 def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +201,14 @@ def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(forms, axis=1), (q - 1) ** live
 
 
-def _walk(mode: str, q: int, dims, trials: int, seed: int, decide) -> tuple[int, list]:
-    """Decide every sample of a run, one CHUNK-sized block at a time: the
-    class walk with its orbit weights in exhaustive mode, the chunk's Philox
-    draws in sampled mode.  ``decide`` maps a block to its bool decisions.
-    Returns the weighted hits and the (row, decision, chunk) of every
-    samples // CROSSCHECK_SAMPLES-th sample, for the crosscheck."""
+def _walk(mode: str, q: int, dims, samples: int, seed: int, decide) -> tuple[int, list]:
+    """Decide the ``samples`` samples of a run, the walk length ``_plan``
+    gives, one CHUNK-sized block at a time: the class walk with its orbit
+    weights in exhaustive mode, the chunk's Philox draws in sampled mode.
+    ``decide`` maps a block to its bool decisions.  Returns the weighted hits
+    and the (row, decision, chunk) of every samples // CROSSCHECK_SAMPLES-th
+    sample, for the crosscheck."""
     exhaustive = mode == "exhaustive"
-    samples = math.prod(_n_classes(q, size) for size in dims) if exhaustive else trials
     check_every = max(1, samples // CROSSCHECK_SAMPLES)
     hits, checked = 0, []
     for lo in range(0, samples, CHUNK):
@@ -264,10 +279,10 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     q = field.q
     dims = [n_monomials(r, d) for d in degrees]
     linear = all(d == 1 for d in degrees)
-    mode, trials = _plan(mode, trials, field, sum(dims), 20_000,
-                         None if linear else (r, degrees, threshold))
+    mode, trials, samples = _plan(mode, trials, field, dims, 20_000,
+                                  None if linear else (r, degrees, threshold))
     decide = partial(batch_dim_at_least, field, r, degrees, s=threshold, seed=seed)
-    hits, checked = _walk(mode, q, dims, trials, seed, decide)
+    hits, checked = _walk(mode, q, dims, samples, seed, decide)
     # one batched reference and one batched point probe over the checked
     # samples, compared in sample order, so the first disagreeing sample is
     # the one named; a sample whose window is over budget (None) is skipped
@@ -369,18 +384,19 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     # dim Sing(F) >= 1.  Euler's relation puts F in the ideal of its partials
     # unless the characteristic divides ell; F is then left out
     skip = 1 if ell % field.p else 0
-    mode, trials = _plan(mode, trials, field, n, 1_000_000 if r == 2 else 2_000,
-                         None if r == 2 else (r, _singular_degrees(r, ell, skip), 1))
+    mode, trials, samples = _plan(mode, trials, field, [n], 1_000_000 if r == 2 else 2_000,
+                                  None if r == 2 else (r, _singular_degrees(r, ell, skip), 1),
+                                  counted=r == 2)
 
     if r == 2:
         marked = repeated_factor_keys(field, r, ell)
         if mode == "exhaustive":
             hits = marked.size  # the set is the exhaustive count
         else:
-            hits, _ = _walk(mode, q, [n], trials, seed, partial(_is_marked, marked, q))
+            hits, _ = _walk(mode, q, [n], samples, seed, partial(_is_marked, marked, q))
         _verify_marked(field, r, ell, marked, seed)
     else:
-        hits, _ = _walk(mode, q, [n], trials, seed,
+        hits, _ = _walk(mode, q, [n], samples, seed,
                         partial(_singular_decide, field, r, ell, skip, seed))
 
     est, status = _estimate(hits, trials, q)

@@ -117,12 +117,22 @@ def rows_times(field: Field, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray
 
     Over an extension field the product is summed one column of rows at a
     time, each an (n, m) lookup in the flattened MUL and ADD tables at index
-    a * q + b, so no (n, k, m) array is ever built.
+    a * q + b, so no (n, k, m) array is ever built.  The index a * q + b is
+    computed in place in one (n, m) buffer that every step reuses; it is
+    always below q^2, so the lookups take mode "clip", which never clips
+    and, unlike "raise", writes straight into their output.
     """
     if field.e == 1:  # the codes are residues mod p
         return (rows.astype(np.int64) @ matrix.astype(np.int64) % field.p).astype(np.uint16)
     q = np.intp(field.q)
-    out = field.MUL.take(rows[:, :1] * q + matrix[0])
+    index = np.empty((len(rows), matrix.shape[1]), dtype=np.intp)
+    out, term = np.empty(index.shape, dtype=np.uint16), np.empty(index.shape, dtype=np.uint16)
+    np.add(rows[:, :1] * q, matrix[0], out=index)
+    field.MUL.take(index, out=out, mode="clip")
     for j in range(1, len(matrix)):
-        out = field.ADD.take(out * q + field.MUL.take(rows[:, j:j + 1] * q + matrix[j]))
+        np.add(rows[:, j:j + 1] * q, matrix[j], out=index)
+        field.MUL.take(index, out=term, mode="clip")
+        np.multiply(out, q, out=index)
+        index += term
+        field.ADD.take(index, out=out, mode="clip")
     return out

@@ -134,6 +134,29 @@ def test_oracle_excess(capsys):
     assert values["predicted_codim"] == 2
 
 
+def test_given_trials_mean_a_sampled_run_in_auto_mode(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "excess", "--r", "2", "--degrees", "1,1",
+                           "--field", "3", "--trials", "5", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    values = {r["name"]: r["value"] for r in report["results"]}
+    assert (values["mode"], values["trials"], report["config"]["trials"]) == ("sampled", 5, 5)
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "sampled"]], ids=["auto", "sampled"])
+def test_trials_over_budget_exit_3_before_the_first_draw(capsys, monkeypatch, mode):
+    from excodim.fforacle import experiments
+
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(experiments, "_chunk_rng", no_draw)
+    code, out, err = run_cli(capsys, "oracle", "excess", "--r", "2", "--degrees", "1,1",
+                             "--field", "2", *mode, "--trials", "99999999999999999999")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exhausted: 99999999999999999999 trials are over budget")
+
+
 def test_oracle_singular(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "singular", "--r", "2", "--ell", "3", "--field", "2",

@@ -16,8 +16,11 @@ from excodim.fforacle import experiments, hilbert
 from excodim.fforacle.experiments import (
     CHUNK,
     DEFAULT_SEED,
+    MAX_EXHAUSTIVE,
+    MAX_TRIALS,
     _chunk_rng,
     _class_block,
+    _plan,
     _singular_block,
     _singular_degrees,
     excess_experiment,
@@ -199,19 +202,23 @@ def test_excess_budget_guards():
 @pytest.mark.parametrize("run, planned", [
     (lambda: excess_experiment(2, (1, 1, 1), 1, gf(3)), ("exhaustive", 19683)),
     (lambda: excess_experiment(2, (2, 2), 1, gf(2)), ("exhaustive", 4096)),
-    (lambda: excess_experiment(2, (1, 2), 1, gf(3)), ("sampled", 20000)),
+    (lambda: excess_experiment(2, (1, 2), 1, gf(3)), ("exhaustive", 19683)),
     (lambda: excess_experiment(3, (2, 2), 1, gf(2), mode="exhaustive"), BudgetError),
     (lambda: singular_experiment(2, 3, gf(2)), ("exhaustive", 1024)),
     (lambda: singular_experiment(2, 5, gf(2)), ("exhaustive", 2**21)),
     (lambda: singular_experiment(3, 3, gf(2)), ("sampled", 2000)),
     (lambda: singular_experiment(3, 3, gf(2), mode="exhaustive"), BudgetError),
+    # 2^344867425584 tuples: refused without building that number
+    (lambda: excess_experiment(30, (15,), 1, gf(2)), BudgetError),
+    (lambda: excess_experiment(30, (15,), 1, gf(2), mode="exhaustive"), BudgetError),
 ], ids=["excess-linear", "excess-slow-cap", "excess-over-slow-cap", "excess-exhaustive-over",
-        "plane-small", "plane-over-slow-cap", "singular-space-auto", "singular-space-exhaustive"])
+        "plane-small", "plane-over-slow-cap", "singular-space-auto", "singular-space-exhaustive",
+        "excess-huge-auto", "excess-huge-exhaustive"])
 def test_mode_policy(run, planned):
-    # auto runs exhaustive under the cap, MAX_EXHAUSTIVE when each decision
-    # is cheap (linear tuples, plane curves looked up in the repeated-factor
-    # set) and SLOW_EXHAUSTIVE_LIMIT otherwise; an exhaustive run over its
-    # cap is a budget error, exit 3
+    # auto runs exhaustive when the scaling-class rows of the walk fit
+    # MAX_EXHAUSTIVE (14 * 365 = 5110 rows for (1, 2) over GF(3)); the plane
+    # counts its repeated-factor set and walks no rows, so auto always counts
+    # it; an exhaustive run over the cap is a budget error, exit 3
     if planned is BudgetError:
         with pytest.raises(BudgetError):
             run()
@@ -227,7 +234,61 @@ def test_exhaustive_mode_refuses_trials():
     for r in (2, 3):
         with pytest.raises(ParameterError, match="trials cannot be set"):
             singular_experiment(r, 3, gf(2), mode="exhaustive", trials=5)
-    assert excess_experiment(2, (1, 1), 1, gf(3), mode="auto", trials=5).trials == 3**6
+    # a given trial count means a sampled run of that many draws, in auto mode too
+    res = excess_experiment(2, (1, 1), 1, gf(3), mode="auto", trials=5)
+    assert (res.mode, res.trials) == ("sampled", 5)
+
+
+class Planned(Exception):
+    pass
+
+
+@pytest.mark.parametrize("field", [gf(2), gf(3), gf(2, 2), gf(5), gf(7), gf(2, 3), gf(3, 2)],
+                         ids=lambda field: f"GF({field.q})")
+def test_auto_runs_exhaustive_exactly_when_the_class_rows_fit(monkeypatch, field):
+    # one cap on the scaling-class rows the walk decides, whatever the
+    # degrees; _walk gets its length from _plan, the class rows of an
+    # exhaustive run and the draws of a sampled one
+    def planned(mode, q, dims, samples, seed, decide):
+        raise Planned(mode, samples)
+
+    monkeypatch.setattr(experiments, "_walk", planned)
+    q = field.q
+    for r in (1, 2, 3, 4):
+        for degrees in ((1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 2)):
+            if len(degrees) > r + 1:
+                continue  # r - k + a < 0
+            dims = [n_monomials(r, d) for d in degrees]
+            rows = math.prod(_n_classes(q, n) for n in dims)
+            fits = rows <= MAX_EXHAUSTIVE
+            with pytest.raises(Planned) as caught:
+                excess_experiment(r, degrees, 1, field)
+            assert caught.value.args == (("exhaustive", rows) if fits else ("sampled", 20_000))
+            if fits:
+                assert _plan("exhaustive", None, field, dims, 20_000) == (
+                    "exhaustive", q ** sum(dims), rows)
+            else:
+                with pytest.raises(BudgetError):
+                    excess_experiment(r, degrees, 1, field, mode="exhaustive")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: excess_experiment(2, (1, 1), 1, gf(2), mode="sampled", trials=MAX_TRIALS + 1),
+    lambda: excess_experiment(2, (1, 1), 1, gf(2), trials=99999999999999999999),
+    lambda: excess_experiment(2, (2, 2), 1, gf(3), trials=MAX_TRIALS + 1),
+    lambda: singular_experiment(2, 3, gf(2), trials=MAX_TRIALS + 1),
+    lambda: singular_experiment(3, 3, gf(2), mode="sampled", trials=MAX_TRIALS + 1),
+], ids=["excess-sampled", "excess-auto", "excess-section", "plane", "singular-space"])
+def test_trials_over_budget_are_refused_before_the_first_draw(monkeypatch, run):
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(experiments, "_chunk_rng", no_draw)
+    with pytest.raises(BudgetError, match=f"cap {MAX_TRIALS}"):
+        run()
+    # the cap itself is a run
+    assert _plan("sampled", MAX_TRIALS, gf(2), [3, 3], 20_000) == (
+        "sampled", MAX_TRIALS, MAX_TRIALS)
 
 
 def test_bad_mode_seed_and_m_max_raise_before_any_work():
@@ -366,9 +427,11 @@ def test_zero_hits_reported_inconclusive():
 
 
 def test_singular_exhaustive_cap():
-    # degree 6 needs 2^28 forms, above the exhaustive cap; sampling still works
-    with pytest.raises(BudgetError):
-        singular_experiment(2, 6, gf(2), mode="exhaustive")
+    # degree 6 has 2^28 forms, but the exhaustive plane run counts the
+    # repeated-factor set and walks none of them, so no walk cap applies;
+    # sampling still works
+    res = singular_experiment(2, 6, gf(2), mode="exhaustive")
+    assert (res.trials, res.hits) == (2**28, 230_736)
     res = singular_experiment(2, 6, gf(2), mode="sampled", trials=50_000, seed=1)
     assert res.trials == 50_000
     with pytest.raises(BudgetError):

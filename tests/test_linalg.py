@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,3 +158,19 @@ def test_rows_times_matches_scalar_reference(p, e, n, k, m):
     got = rows_times(field, rows, matrix)
     assert got.shape == (n, m) and got.dtype == np.uint16
     assert got.tolist() == reference_rows_times(field, rows, matrix)
+
+
+def test_rows_times_memory_is_a_few_outputs():
+    # the a * q + b lookup index lives in one reused (n, m) buffer, so a
+    # 49 x 3 by 3 x 2451 product over GF(49) stays within 8 outputs' bytes
+    field = gf(7, 2)
+    rng = np.random.default_rng(49)
+    rows = rng.integers(0, field.q, size=(49, 3), dtype=np.uint16)
+    matrix = rng.integers(0, field.q, size=(3, 2451), dtype=np.uint16)
+    tracemalloc.start()
+    try:
+        out = rows_times(field, rows, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * out.nbytes
