@@ -5,7 +5,8 @@ oracle excess, oracle singular, selftest.  ``_build_parser`` is the only
 place that declares a subcommand's arguments.  Every run echoes its full
 configuration, built from the parsed arguments: the subcommand path, then
 each argument in declaration order.  JSON is the canonical machine format
-and CSV is available for sweep commands only.  Exit codes: 0 ok, 1 internal
+and CSV is available for sweep commands only: any other command asking for
+it is refused before it does any work.  Exit codes: 0 ok, 1 internal
 invariant violation, 2 argument error, 3 budget exhaustion (a sweep over
 MAX_SWEEP_ROWS among them), and from ``main`` 141 (128 + SIGPIPE) when the
 reader closed stdout.
@@ -91,8 +92,6 @@ class Report:
         if fmt == "json":
             return json.dumps(self.to_dict(), indent=2)
         if fmt == "csv":
-            if self.rows is None:
-                raise ParameterError("csv output is only available for sweep commands")
             keys: list[str] = []
             for row in self.rows:
                 for k in row:
@@ -466,6 +465,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.format == "csv" and not getattr(args, "sweep", False):
+            # refused before the oracle loads or any work starts
+            raise ParameterError("csv output is only available for sweep commands")
         if "seed" in vars(args) and args.seed is None:
             # the default lives with the oracle, which only these commands load
             args.seed = _oracle().DEFAULT_SEED

@@ -54,12 +54,15 @@ base-q values of their rows, built by ``repeated_factor_keys`` with one
 once; H runs over one form per scaling class, from the same class walk.  An
 exhaustive plane run counts that set.
 
-For odd ell the singular samples leave F out.  Euler's relation
-ell * F = sum_i X_i dF/dX_i puts F in the ideal of its partials whenever the
-characteristic does not divide ell, so V(F, dF) = V(dF) and the decision is
-the same, on a smaller system: for ell = 3 over GF(2) the sections rank
-24 x 15 matrices in degree 4 in place of 46 x 21 in degree 5.  For even ell
-F stays.  The Hilbert reference that checks the plane's repeated-factor set
+The singular experiment runs over every supported field: the plane's
+repeated-factor set and the Jacobian criterion V(F, dF) = Sing V(F) hold in
+any characteristic.  Only ``poonen_combine`` needs characteristic 2.  When
+the characteristic does not divide ell the singular samples leave F out:
+Euler's relation ell * F = sum_i X_i dF/dX_i puts F in the ideal of its
+partials, so V(F, dF) = V(dF) and the decision is the same, on a smaller
+system: for ell = 3 over GF(2) the sections rank 24 x 15 matrices in degree
+4 in place of 46 x 21 in degree 5.  Otherwise (even ell over GF(2)) F
+stays.  The Hilbert reference that checks the plane's repeated-factor set
 always keeps F, so that it stays independent.
 
 In an excess run about CROSSCHECK_SAMPLES evenly spaced samples (orbit
@@ -372,8 +375,6 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
                         seed: int = DEFAULT_SEED) -> ExperimentResult:
     """Estimate the codimension of the degree-ell forms whose singular locus
     is positive-dimensional, against the singular-line prediction."""
-    if field.p != 2:
-        raise ParameterError("the singular experiment runs over characteristic 2")
     if r < 2 or ell < 3:
         raise ParameterError(f"need r >= 2 and ell >= 3, got r={r}, ell={ell}")
     check_seed(seed)

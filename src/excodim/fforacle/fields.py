@@ -6,9 +6,20 @@ g^(k-1) for the chosen multiplicative generator g.  That encoding is also the
 wire format for serialized polynomial coefficients, so it must never change.
 
 Construction goes through the polynomial representation F_p[x]/(f): an
-element is an integer whose base-p digits are the coefficients of x^0, x^1,
-...  The defining irreducible f and the generator are both chosen as the
-first candidate in that integer order, which makes every table reproducible.
+element, its rep, is an integer whose base-p digits are the coefficients of
+x^0, x^1, ...  Every choice is the first candidate in an integer order, which
+makes every table reproducible, and is made on digit rows:
+
+- the defining polynomial f is the first monic degree-n polynomial, in the
+  base-p value of its low coefficients, that is no product g * h of monic
+  factors with 1 <= deg g <= n/2; the products are digit convolutions,
+  keyed by ``_row_keys``;
+- the generator is the first rep c whose cycle 1 -> c -> c^2 -> ... in the
+  table a -> c * a has length q - 1.  That cycle is the antilog table of an
+  extension field; a prime field keeps residue codes;
+- the embedding of GF(p^e) in its degree-m extension sends x to the first
+  extension code where f, its coefficients lifted, vanishes, and a base code
+  to its rep's digits evaluated there.
 
 Arithmetic is table lookup: ``ADD``, ``MUL``, ``NEG`` and ``INV`` are numpy
 arrays indexed by codes.
@@ -70,78 +81,20 @@ def _class_rows(q: int, n: int, x: np.ndarray) -> np.ndarray:
     return _digits(q**j + x - starts[j], q, n)
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, f, p):
-    # f monic
-    a = list(a)
-    nf = len(f) - 1
-    while len(a) - 1 >= nf and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - nf
-            for j, fj in enumerate(f):
-                a[shift + j] = (a[shift + j] - lead * fj) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _rep_to_list(rep: int, p: int) -> list[int]:
-    out = []
-    while rep:
-        rep, d = divmod(rep, p)
-        out.append(d)
-    return out
-
-
-def _list_to_rep(lst, p: int) -> int:
-    rep = 0
-    for d in reversed(lst):
-        rep = rep * p + d
-    return rep
-
-
 def _find_irreducible(p: int, n: int) -> list[int]:
-    """First monic irreducible of degree n over F_p, as a coefficient list."""
-    divisors = []
+    """First monic irreducible of degree n over F_p, as its coefficients of
+    x^0 ... x^n: the first, in the base-p value of its n low coefficients,
+    that no product g * h of monic g, h with 1 <= deg g <= n/2 equals.  The
+    digit rows of the monic degree-m polynomials are those of p^m ... 2p^m - 1."""
+    reducible = np.zeros(p**n, dtype=bool)
     for m in range(1, n // 2 + 1):
-        for c in range(p**m):
-            divisors.append(_rep_to_list(c, p) + [0] * (m - len(_rep_to_list(c, p))) + [1])
-    for c in range(p**n):
-        f = _rep_to_list(c, p)
-        f = f + [0] * (n - len(f)) + [1]
-        if all(_poly_mod(f, g, p) for g in divisors):
-            return f
-    raise ParameterError(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+        g = _digits(p**m + np.arange(p**m), p, m + 1)
+        h = _digits(p ** (n - m) + np.arange(p ** (n - m)), p, n - m + 1)
+        product = np.zeros((len(g), len(h), n + 1), dtype=np.int64)
+        for i in range(m + 1):
+            product[:, :, i:i + n - m + 1] += g[:, None, i, None] * h
+        reducible[_row_keys(p, product.reshape(-1, n + 1)[:, :n] % p)] = True
+    return _digits(np.argmin(reducible)[None], p, n)[0].tolist() + [1]
 
 
 class Field:
@@ -156,39 +109,32 @@ class Field:
         self.q = q
         self.modulus = _find_irreducible(p, n)
 
-        def mulmod(a_rep, b_rep):
-            prod = _poly_mul(_rep_to_list(a_rep, p), _rep_to_list(b_rep, p), p)
-            return _list_to_rep(_poly_mod(prod, self.modulus, p), p)
-
-        # generator: first element of full multiplicative order
-        factors = _prime_factors(q - 1) if q > 2 else []
-
-        def powmod(a_rep, m):
-            result, base = 1, a_rep
-            while m:
-                if m & 1:
-                    result = mulmod(result, base)
-                base = mulmod(base, base)
-                m >>= 1
-            return result
-
-        gen = None
-        for cand in range(1, q):
-            if all(powmod(cand, (q - 1) // f) != 1 for f in factors):
-                gen = cand
+        # the generator: the first rep c whose cycle 1 -> c -> c^2 -> ... in
+        # the table a -> c * a has length q - 1.  The digit rows of x^j * a,
+        # j < n, are built once for every rep a: times x shifts a row up one
+        # digit and subtracts the top digit times f's low coefficients.  The
+        # table of c sums them with c's digits as weights, mod p
+        reps = _all_coeff_rows(p, n).astype(np.int64)
+        low = np.array(self.modulus[:-1])
+        powers = [reps]
+        for _ in range(n - 1):
+            top = powers[-1][:, -1:]
+            powers.append((np.hstack([0 * top, powers[-1][:, :-1]]) - top * low) % p)
+        stacked = np.stack(powers).reshape(n, q * n)
+        for gen in range(1, q):
+            times_gen = _row_keys(p, (reps[gen] @ stacked).reshape(q, n) % p).tolist()
+            cycle = [1]
+            while times_gen[cycle[-1]] != 1:
+                cycle.append(times_gen[cycle[-1]])
+            if len(cycle) == q - 1:
                 break
         self.generator_rep = gen
 
         # code <-> polynomial representation: the residue itself over a prime
-        # field, else code k for gen^(k-1)
-        if n == 1:
-            code_from_rep = np.arange(q, dtype=np.int64)
-        else:
-            code_from_rep = np.zeros(q, dtype=np.int64)
-            x = 1
-            for i in range(q - 1):
-                code_from_rep[x] = i + 1
-                x = mulmod(x, gen)
+        # field, else code k for gen^(k-1), so the cycle is the antilog table
+        code_from_rep = np.arange(q, dtype=np.int64)
+        if n > 1:
+            code_from_rep[cycle] = np.arange(1, q)
         self._code_from_rep = code_from_rep.astype(np.uint16)
         rep_from_code = np.zeros(q, dtype=np.int64)
         rep_from_code[code_from_rep] = np.arange(q)
@@ -262,26 +208,17 @@ class Field:
         return self._ext_cache[m]
 
     def _embed_into(self, ext: "Field") -> np.ndarray:
-        # root of the defining polynomial, first in code order: fixes the
-        # embedding deterministically
-        root = None
-        for x in range(ext.q):
-            acc = ext.from_int(self.modulus[-1])
-            for c in reversed(self.modulus[:-1]):
-                acc = int(ext.ADD[ext.MUL[acc, x], ext.from_int(c)])
-            if acc == 0:
-                root = x
-                break
-        if root is None:  # pragma: no cover - impossible for a true extension
-            raise ParameterError(f"no root of the degree-{self.e} modulus in GF({ext.q})")
+        # the root: the first ext code where the modulus, its coefficients
+        # lifted to ext, vanishes, by Horner over every ext code at once.  A
+        # base code maps to its rep's digits, by Horner at the root
+        lift, x = ext._code_from_rep[:self.p], np.arange(ext.q)
+        value = np.zeros(ext.q, dtype=np.uint16)
+        for c in reversed(self.modulus):
+            value = ext.ADD[ext.MUL[value, x], lift[c]]
+        root = np.flatnonzero(value == 0)[0]
         emb = np.zeros(self.q, dtype=np.uint16)
-        for code in range(self.q):
-            rep = int(self._rep_from_code[code])
-            coeffs = _rep_to_list(rep, self.p)
-            acc = 0
-            for c in reversed(coeffs):
-                acc = int(ext.ADD[ext.MUL[acc, root], ext.from_int(c)])
-            emb[code] = acc
+        for digits in _digits(self._rep_from_code, self.p, self.e).T[::-1]:
+            emb = ext.ADD[ext.MUL[emb, root], lift[digits]]
         return emb
 
     def __repr__(self) -> str:

@@ -25,8 +25,8 @@ section certifies dim < s.  The outcomes are:
   section;
 - certified out: some section is empty;
 - certified in: fewer than b + 1 forms are nonzero (dimension theorem), or
-  s = 0 and a section is nonempty (the "plane" is then all of P^r in new
-  coordinates);
+  s = 0 and the section is nonempty (the "plane" is then all of P^r in new
+  coordinates, so its one section decides and no other plane is built);
 - probable in: the sections on all SECTION_TRIES planes are nonempty.  A
   finite locus of D points passes one random plane with probability about
   D / |E|, so a false positive has probability about (D / |E|)^SECTION_TRIES.
@@ -395,7 +395,8 @@ def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
     for degrees, members, coeffs, t in sections:
         ext, emb = section_field(field)
         coeffs = [emb[c] for c in coeffs]
-        for k in range(SECTION_TRIES):
+        # at s = 0 the plane is all of P^r: its one section is exact
+        for k in range(1 if b == r else SECTION_TRIES):
             section = [rows_times(ext, c, restriction_map(ext, r, b, seed, k, d))
                        for d, c in zip(degrees, coeffs)]
             empty = _piece_ranks(ext, b, t, degrees, section) == n_monomials(b, t)

@@ -121,6 +121,21 @@ def test_csv_rejected_for_non_sweep(capsys):
     assert "sweep" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "excess", "--r", "3", "--degrees", "2,2,2", "--field", "2", "--trials", "20000"),
+    ("selftest",),
+], ids=["oracle-excess", "selftest"])
+def test_csv_refused_before_any_work(capsys, monkeypatch, argv):
+    from excodim import fforacle
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(fforacle, "excess_experiment", no_work)
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, out, err) == (2, "", "error: csv output is only available for sweep commands\n")
+
+
 def test_oracle_excess(capsys):
     code, out, _ = run_cli(
         capsys, "oracle", "excess", "--r", "2", "--degrees", "1,1", "--a", "1",

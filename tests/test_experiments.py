@@ -405,9 +405,17 @@ def test_line_component_dominates_in_the_plane():
         assert len(line_keys) / len(marked) > 0.9
 
 
-def test_singular_requires_char2():
-    with pytest.raises(ParameterError):
-        singular_experiment(2, 3, gf(3), mode="exhaustive")
+@pytest.mark.parametrize("q, hits", [(3, 339), (5, 3845)])
+def test_singular_runs_in_odd_characteristic(monkeypatch, q, hits):
+    # the repeated-factor set and the Jacobian criterion hold over any finite
+    # field; the spot check against the Hilbert reference passes on every form
+    real, seen = experiments._crosscheck_sample, []
+    monkeypatch.setattr(experiments, "_crosscheck_sample",
+                        lambda *a, **kw: seen.append(a) or real(*a, **kw))
+    res = singular_experiment(2, 3, parse_field(str(q)))
+    assert (res.mode, res.trials, res.hits, res.status) == ("exhaustive", q**10, hits, "ok")
+    assert abs(res.est_codim - 5) < 0.35
+    assert len(seen) == experiments.VERIFY_SAMPLES
 
 
 def test_singular_sampled_agrees_with_exhaustive_rate():

@@ -497,6 +497,28 @@ def test_linear_blocks_are_ranked_exactly(monkeypatch, spec, r):
             assert decided.tolist() == [r - rank >= s for rank in ranks]
 
 
+@pytest.mark.parametrize("spec, degrees", [((2, 1), (2, 2, 2)), ((3, 1), (2, 2, 3))])
+def test_s0_builds_only_the_first_plane(monkeypatch, spec, degrees):
+    # at s = 0 the plane is all of P^r, so its one section decides each row
+    planes = set()
+    real_map = hilbert.restriction_map
+
+    def recording_map(field, r, b, seed, k, d):
+        planes.add(k)
+        return real_map(field, r, b, seed, k, d)
+
+    monkeypatch.setattr(hilbert, "restriction_map", recording_map)
+    field, r = gf(*spec), 2
+    rng = np.random.default_rng(list(degrees))
+    block = rng.integers(0, field.q, size=(200, sum(n_monomials(r, d) for d in degrees)),
+                         dtype=np.uint16)
+    decided = batch_dim_at_least(field, r, degrees, block, 0, seed=3)
+    assert planes == {0}
+    reference = batch_projective_dim_hilbert(field, r, degrees, block)
+    assert decided.tolist() == [dim >= 0 for dim in reference]
+    assert 0 < decided.sum() < len(block)  # a mixed block
+
+
 def test_forms_of_degree_0_are_refused():
     # a nonzero constant cuts out nothing, but the dimension theorem's
     # "fewer than b + 1 live forms" would certify it in
