@@ -21,8 +21,11 @@ counts the repeated-factor set and walks no rows, so only MARKED_SET_BUDGET
 bounds it, and auto mode always counts that set.  A given ``trials`` means a
 sampled run of that many draws, in auto mode too, and more than MAX_TRIALS
 raises BudgetError.  ``_plan`` also gives the walk its length, and ``_walk``
-is the chunk loop: it makes one ``decide`` call per chunk, sums the weighted
-hits and keeps every few rows for the crosscheck.
+is the chunk loop: it makes one ``decide`` call per chunk, adds the weights
+of the chunk's outcome codes (2 * certificate + decision, see ``hilbert``)
+to one int64 histogram, and keeps every few rows for the crosscheck.  The
+result keeps that histogram as ``outcomes``, and ``_result`` reads the hits,
+the tuples of the "in" codes, from it.
 
 Both loci are cones: V(c_1 g_1, ..., c_k g_k) = V(g_1, ..., g_k) for nonzero
 scalars c_i, and every test below (the linear rank, the section test, the
@@ -51,8 +54,9 @@ written once, in ``_singular_degrees``.  In the plane ``_is_marked`` looks
 each curve up in the exact set of forms with a repeated factor, the sorted
 base-q values of their rows, built by ``repeated_factor_keys`` with one
 ``rows_times`` product per square H^2 that multiplies every cofactor G at
-once; H runs over one form per scaling class, from the same class walk.  An
-exhaustive plane run counts that set.
+once; H runs over one form per scaling class, from the same class walk.  Its
+codes are IN_SET and OUT_SET, and an exhaustive plane run fills that pair
+from the size of the set.
 
 The singular experiment runs over every supported field: the plane's
 repeated-factor set and the Jacobian criterion V(F, dF) = Sing V(F) hold in
@@ -76,13 +80,21 @@ whose window fits gives all their point counts; the samples are then
 compared one by one in sample order.  The window of a sample can go over
 the matrix budget (from r = 4 on it mostly does); the reference gives None
 for such a sample, which is neither probed nor checked, and the result
-counts it in ``crosscheck_skipped``.  A plane singular run checks
+counts it in ``crosscheck_skipped``.  A linear run whose P^r(F_q) has at
+most ``points.MAX_POINTS`` points is checked exactly instead, on paths
+independent of ``batch_rank``: a linear space of dimension delta has
+(q^(delta + 1) - 1) / (q - 1) points, so one ``_common_zeros`` count over
+the field gives each checked sample its dimension, with no window and no
+probe (``_linear_dims``); and the in-by-rank tally of an exhaustive linear
+run must equal the number of k x (r + 1) matrices of rank at most r - s
+over F_q (``_rank_count``).  A plane singular run checks
 VERIFY_SAMPLES forms the same way, half spaced through its repeated-factor
 set and half drawn from Philox stream 2^31, with one batched reference call
 on their [F | partials] block; there a window over budget raises
 BudgetError.  Both checks compare through ``_crosscheck_sample``.  A failed
-check raises ``InvariantError`` naming the first failing sample as
-``poly_to_line`` lines with its seed and chunk, so it can be replayed.
+check raises ``InvariantError`` naming the decision's certificate next to
+the reference dimension, and the first failing sample as ``poly_to_line``
+lines with its seed and chunk, so it can be replayed.
 
 The mode, trials and seed are checked before any work; a bad value,
 or trials given to exhaustive mode, raises ParameterError.  The budgets of
@@ -102,6 +114,10 @@ from ..errors import BudgetError, InvariantError, ParameterError
 from ..strata import span_stratum_exact
 from .fields import Field, _all_coeff_rows, _class_rows, _digits, _n_classes, _row_keys, gf
 from .hilbert import (
+    CERTIFICATES,
+    IN_RANK,
+    IN_SET,
+    OUT_SET,
     batch_dim_at_least,
     batch_projective_dim_hilbert,
     check_seed,
@@ -110,7 +126,7 @@ from .hilbert import (
     section_field,
 )
 from .linalg import matrix_rank, rows_times
-from .points import PointProbe, batch_projective_dim_points
+from .points import MAX_POINTS, PointProbe, _common_zeros, batch_projective_dim_points
 from .polynomials import MultiPoly, macaulay_stack, n_monomials, partial_rows, poly_to_line
 
 DEFAULT_SEED = 271828
@@ -137,6 +153,7 @@ class ExperimentResult:
     est_codim: float | None
     predicted_codim: int
     status: str
+    outcomes: tuple[int, ...]  # tuples of each outcome code, indexed by code
     degrees: tuple[int, ...] | None = None
     ell: int | None = None
     a: int | None = None
@@ -204,33 +221,57 @@ def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(forms, axis=1), (q - 1) ** live
 
 
-def _walk(mode: str, q: int, dims, samples: int, seed: int, decide) -> tuple[int, list]:
+def _walk(mode: str, q: int, dims, samples: int, seed: int, decide) -> tuple[np.ndarray, list]:
     """Decide the ``samples`` samples of a run, the walk length ``_plan``
     gives, one CHUNK-sized block at a time: the class walk with its orbit
     weights in exhaustive mode, the chunk's Philox draws in sampled mode.
-    ``decide`` maps a block to its bool decisions.  Returns the weighted hits
-    and the (row, decision, chunk) of every samples // CROSSCHECK_SAMPLES-th
-    sample, for the crosscheck."""
-    exhaustive = mode == "exhaustive"
+    ``decide`` maps a block to its outcome codes.  Returns the int64
+    histogram of the weighted codes and the (row, code, chunk) of every
+    samples // CROSSCHECK_SAMPLES-th sample, for the crosscheck."""
     check_every = max(1, samples // CROSSCHECK_SAMPLES)
-    hits, checked = 0, []
+    outcomes, checked = np.zeros(2 * len(CERTIFICATES), dtype=np.int64), []
     for lo in range(0, samples, CHUNK):
         chunk, n = lo // CHUNK, min(CHUNK, samples - lo)
-        if exhaustive:
+        if mode == "exhaustive":
             block, weight = _class_block(q, dims, lo, n)
         else:
-            block = _chunk_rng(seed, chunk).integers(0, q, size=(n, sum(dims)), dtype=np.uint16)
-        hit = decide(block)
-        hits += int(weight[hit].sum() if exhaustive else np.count_nonzero(hit))
-        checked.extend((block[i], bool(hit[i]), chunk)
+            block, weight = _chunk_rng(seed, chunk).integers(
+                0, q, size=(n, sum(dims)), dtype=np.uint16), 1
+        code = decide(block)
+        np.add.at(outcomes, code, weight)
+        checked.extend((block[i], int(code[i]), chunk)
                        for i in range((-lo) % check_every, n, check_every))
-    return hits, checked
+    return outcomes, checked
 
 
-def _estimate(hits: int, trials: int, q: int) -> tuple[float | None, str]:
-    if hits == 0:
-        return None, "inconclusive"
-    return (math.log(trials) - math.log(hits)) / math.log(q), "ok"
+def _result(outcomes: np.ndarray, trials: int, q: int, **run) -> ExperimentResult:
+    """The result of a run from its outcome histogram: the hits are the
+    tuples of the "in" codes."""
+    hits = int(outcomes[1::2].sum())
+    est = None if hits == 0 else (math.log(trials) - math.log(hits)) / math.log(q)
+    return ExperimentResult(q=q, trials=trials, hits=hits, est_codim=est,
+                            status="inconclusive" if hits == 0 else "ok",
+                            outcomes=tuple(outcomes.tolist()), **run)
+
+
+def _rank_count(q: int, k: int, n: int, rho: int) -> int:
+    """The number of k x n matrices of rank rho over F_q."""
+    num = den = 1
+    for i in range(rho):
+        num *= (q**k - q**i) * (q**n - q**i)
+        den *= q**rho - q**i
+    return num // den
+
+
+def _linear_dims(field: Field, r: int, rows: np.ndarray) -> list[int]:
+    """The projective dimension of the linear space cut out by each row of
+    linear forms, read off its point count over the field: a linear space of
+    dimension delta has (q^(delta + 1) - 1) / (q - 1) points.  The count is
+    one ``rows_times`` per form, independent of ``batch_rank``."""
+    q, k = field.q, rows.shape[1] // (r + 1)
+    counts = _common_zeros(*field.extension(1), r, [1] * k, np.split(rows, k, axis=1))
+    dim_of = {(q ** (delta + 1) - 1) // (q - 1): delta for delta in range(-1, r + 1)}
+    return [dim_of[count] for count in counts.tolist()]
 
 
 def _replay_note(field: Field, r: int, degrees, row: np.ndarray, seed: int, chunk: int) -> str:
@@ -242,21 +283,25 @@ def _replay_note(field: Field, r: int, degrees, row: np.ndarray, seed: int, chun
 
 
 def _crosscheck_sample(field: Field, r: int, degrees, row: np.ndarray, seed: int, chunk: int,
-                       s: int, hit: bool, hil: int, probe: PointProbe | None):
+                       s: int, code: int, ref: int, probe: PointProbe | None):
     """Independent-detector agreement for one sample, the coefficient row of
-    forms of the given degrees: its Hilbert-window dimension hil must give
-    the same decision dim >= s, and a conclusive positive point count
+    forms of the given degrees: its reference dimension ref (the Hilbert
+    window, or the exact point count of linear forms) must give the decision
+    of its outcome code, dim >= s, and a conclusive positive point count
     (probe, None when no extension fits the point budget or none was taken)
-    must be matched by it, or the run dies naming the sample."""
-    if (hil >= s) != hit:
+    must be matched by it, or the run dies naming the sample and the
+    decision's certificate."""
+    hit = bool(code & 1)
+    if (ref >= s) != hit:
         raise InvariantError(
-            f"the sample's decision dim >= {s} is {hit} but the Hilbert detector "
-            f"gives dimension {hil}; {_replay_note(field, r, degrees, row, seed, chunk)}"
+            f"the sample's decision dim >= {s} is {hit}, by {CERTIFICATES[code >> 1]}, but "
+            f"the reference gives dimension {ref}; "
+            f"{_replay_note(field, r, degrees, row, seed, chunk)}"
         )
-    if probe is not None and probe.positive_dimensional and hil < 1:
+    if probe is not None and probe.positive_dimensional and ref < 1:
         raise InvariantError(
             f"point count {probe.counts} exceeds cutoff {probe.cutoff} but the "
-            f"Hilbert detector gives dimension {hil}; "
+            f"Hilbert detector gives dimension {ref}; "
             f"{_replay_note(field, r, degrees, row, seed, chunk)}"
         )
 
@@ -285,24 +330,33 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     mode, trials, samples = _plan(mode, trials, field, dims, 20_000,
                                   None if linear else (r, degrees, threshold))
     decide = partial(batch_dim_at_least, field, r, degrees, s=threshold, seed=seed)
-    hits, checked = _walk(mode, q, dims, samples, seed, decide)
+    outcomes, checked = _walk(mode, q, dims, samples, seed, decide)
+    if linear and mode == "exhaustive":
+        ranked = sum(_rank_count(q, k, r + 1, rho) for rho in range(r - threshold + 1))
+        if outcomes[IN_RANK] != ranked:
+            raise InvariantError(
+                f"{outcomes[IN_RANK]} tuples are in by rank, but {ranked} {k}x{r + 1} "
+                f"matrices over GF({q}) have rank at most {r - threshold}"
+            )
     # one batched reference and one batched point probe over the checked
     # samples, compared in sample order, so the first disagreeing sample is
-    # the one named; a sample whose window is over budget (None) is skipped
+    # the one named; a sample whose window is over budget (None) is skipped.
+    # Linear samples are checked by their exact point count, with no probe
     rows = np.array([row for row, _, _ in checked])
-    hil_dims = batch_projective_dim_hilbert(field, r, degrees, rows)
-    fits = [i for i, hil in enumerate(hil_dims) if hil is not None]
-    probes = batch_projective_dim_points(field, r, degrees, rows[fits], PROBE_M_MAX)
+    exact = linear and _n_classes(q, r + 1) - 1 <= MAX_POINTS
+    ref_dims = (_linear_dims(field, r, rows) if exact else
+                batch_projective_dim_hilbert(field, r, degrees, rows))
+    fits = [i for i, ref in enumerate(ref_dims) if ref is not None]
+    probes = ([None] * len(fits) if exact else
+              batch_projective_dim_points(field, r, degrees, rows[fits], PROBE_M_MAX))
     for i, probe in zip(fits, probes):
-        row, hit, chunk = checked[i]
-        _crosscheck_sample(field, r, degrees, row, seed, chunk, threshold, hit, hil_dims[i], probe)
+        row, code, chunk = checked[i]
+        _crosscheck_sample(field, r, degrees, row, seed, chunk, threshold, code, ref_dims[i],
+                           probe)
 
-    est, status = _estimate(hits, trials, q)
-    return ExperimentResult(
-        kind="excess", q=q, r=r, degrees=degrees, a=a, mode=mode,
-        trials=trials, hits=hits, seed=seed, est_codim=est,
-        predicted_codim=predicted, status=status, crosscheck_skipped=hil_dims.count(None),
-    )
+    return _result(outcomes, trials, q, kind="excess", r=r, degrees=degrees, a=a, mode=mode,
+                   seed=seed, predicted_codim=predicted,
+                   crosscheck_skipped=ref_dims.count(None))
 
 
 def _singular_degrees(r: int, ell: int, skip: int) -> list[int]:
@@ -328,9 +382,11 @@ def _singular_decide(field: Field, r: int, ell: int, skip: int, seed: int,
 
 
 def _is_marked(marked: np.ndarray, q: int, rows: np.ndarray) -> np.ndarray:
-    """Whether each row's key is in the sorted, nonempty keys marked."""
+    """Whether each row's key is in the sorted, nonempty keys marked, as
+    the outcome codes IN_SET and OUT_SET."""
     keys = _row_keys(q, rows)
-    return marked[np.minimum(np.searchsorted(marked, keys), marked.size - 1)] == keys
+    found = marked[np.minimum(np.searchsorted(marked, keys), marked.size - 1)] == keys
+    return np.where(found, IN_SET, OUT_SET).astype(np.uint8)
 
 
 @lru_cache(maxsize=8)
@@ -391,21 +447,18 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
 
     if r == 2:
         marked = repeated_factor_keys(field, r, ell)
-        if mode == "exhaustive":
-            hits = marked.size  # the set is the exhaustive count
+        if mode == "exhaustive":  # the set is the exhaustive count
+            outcomes = np.zeros(2 * len(CERTIFICATES), dtype=np.int64)
+            outcomes[[OUT_SET, IN_SET]] = trials - marked.size, marked.size
         else:
-            hits, _ = _walk(mode, q, [n], samples, seed, partial(_is_marked, marked, q))
+            outcomes, _ = _walk(mode, q, [n], samples, seed, partial(_is_marked, marked, q))
         _verify_marked(field, r, ell, marked, seed)
     else:
-        hits, _ = _walk(mode, q, [n], samples, seed,
-                        partial(_singular_decide, field, r, ell, skip, seed))
+        outcomes, _ = _walk(mode, q, [n], samples, seed,
+                            partial(_singular_decide, field, r, ell, skip, seed))
 
-    est, status = _estimate(hits, trials, q)
-    return ExperimentResult(
-        kind="singular", q=q, r=r, ell=ell, mode=mode,
-        trials=trials, hits=hits, seed=seed, est_codim=est,
-        predicted_codim=predicted, status=status,
-    )
+    return _result(outcomes, trials, q, kind="singular", r=r, ell=ell, mode=mode, seed=seed,
+                   predicted_codim=predicted)
 
 
 def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int):
@@ -419,12 +472,12 @@ def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int
     drawn = _chunk_rng(seed, 2**31).integers(0, field.q, size=(VERIFY_SAMPLES - len(picks), n),
                                              dtype=np.uint16)
     rows = np.concatenate([picks, drawn])
-    hits = _is_marked(marked, field.q, rows)
+    codes = _is_marked(marked, field.q, rows).tolist()
     degrees, block = _singular_degrees(r, ell, 0), _singular_block(field, r, ell, rows, 0)
-    for row, hit, dim in zip(rows, hits, batch_projective_dim_hilbert(field, r, degrees, block)):
+    for row, code, dim in zip(rows, codes, batch_projective_dim_hilbert(field, r, degrees, block)):
         if dim is None:
             raise BudgetError(f"the Hilbert window of a degree-{ell} plane form is over budget")
-        _crosscheck_sample(field, r, [ell], row, seed, 2**31, 1, hit, dim, None)
+        _crosscheck_sample(field, r, [ell], row, seed, 2**31, 1, code, dim, None)
 
 
 @dataclass(frozen=True)

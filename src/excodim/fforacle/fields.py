@@ -155,22 +155,30 @@ class Field:
                 inv[a] = pow(a, p - 2, p)
             self.INV = inv
         else:
-            # add and negate digitwise in the polynomial representation; the
-            # sum table one digit at a time, so no (q, q, n) array is held
+            # add and negate digitwise in the polynomial representation: the
+            # sum of reps a and b is a + b less p^(j + 1) for each digit j
+            # where they carry, found one digit at a time in one reused
+            # uint16 buffer, so no (q, q, n) or int64 (q, q) array is held
             digits = _digits(self._rep_from_code, p, n)
-            add_rep = np.zeros((q, q), dtype=np.int64)
-            for j in range(n):
-                add_rep += (digits[:, None, j] + digits[None, :, j]) % p * p**j
+            rep = self._rep_from_code.astype(np.uint16)
+            add_rep, carry = rep[:, None] + rep[None, :], np.empty((q, q), dtype=np.uint16)
+            for j, column in enumerate(digits.T.copy()):
+                np.add(column[:, None], column[None, :], out=carry)
+                np.greater_equal(carry, p, out=carry)
+                carry *= p ** (j + 1)
+                add_rep -= carry
+            del carry
             self.ADD = self._code_from_rep[add_rep]
             self.NEG = self._code_from_rep[_row_keys(p, (p - digits) % p)]
 
-            k = np.arange(q, dtype=np.int64)
-            logs = k - 1  # valid for k >= 1
-            mul = ((logs[:, None] + logs[None, :]) % (q - 1)) + 1
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            self.MUL = mul.astype(np.uint16)
-            inv = ((-logs) % (q - 1)) + 1
+            # code k >= 1 has log k - 1, and logs add mod q - 1
+            logs = np.arange(q - 1, dtype=np.uint16)
+            self.MUL = np.zeros((q, q), dtype=np.uint16)
+            product = self.MUL[1:, 1:]
+            np.add(logs[:, None], logs[None, :], out=product)
+            np.subtract(product, q - 1, out=product, where=product >= q - 1)
+            product += 1
+            inv = ((-np.arange(-1, q - 1)) % (q - 1)) + 1
             inv[0] = 0
             self.INV = inv.astype(np.uint16)
         self.one = int(self._code_from_rep[1])

@@ -17,19 +17,26 @@ h value, in degree t = 1 + sum(d_i - 1) over the b + 1 largest degrees.  By the
 Macaulay/Lazard bound, forms on P^b have no common zero over the algebraic
 closure exactly when their ideal contains every degree-t monomial, that is
 h(t) = 0.  Every b-plane meets a variety of dimension >= s, so an empty
-section certifies dim < s.  The outcomes are:
+section certifies dim < s.
 
-- certified both ways: every form linear.  The forms then cut out a linear
+``batch_dim_at_least`` gives each row an outcome code, 2 * certificate +
+decision, so code & 1 is the decision and code >> 1 indexes CERTIFICATES.
+The codes are:
+
+- OUT_RANK, IN_RANK: every form linear.  The forms then cut out a linear
   space of projective dimension r - rank, so a block whose degrees are all
   1 is decided by one ``batch_rank`` of its (n, k, r + 1) stack, with no
   section;
-- certified out: some section is empty;
-- certified in: fewer than b + 1 forms are nonzero (dimension theorem), or
-  s = 0 and the section is nonempty (the "plane" is then all of P^r in new
-  coordinates, so its one section decides and no other plane is built);
-- probable in: the sections on all SECTION_TRIES planes are nonempty.  A
+- OUT_COUNT: s > r; IN_COUNT: fewer than b + 1 forms are nonzero (dimension
+  theorem);
+- OUT_SECTION: some section is empty; IN_SECTION: s = 0 and the section is
+  nonempty (the "plane" is then all of P^r in new coordinates, so its one
+  section decides and no other plane is built);
+- PROBABLE (in): the sections on all SECTION_TRIES planes are nonempty.  A
   finite locus of D points passes one random plane with probability about
-  D / |E|, so a false positive has probability about (D / |E|)^SECTION_TRIES.
+  D / |E|, so a false positive has probability about (D / |E|)^SECTION_TRIES;
+- OUT_SET, IN_SET: set by the experiments, whose plane singular run looks a
+  form up in an exact set.
 
 The section field and the restriction map of each plane and degree are
 built on first use (the map by ``polynomials.substitute``) and cached, so
@@ -96,6 +103,10 @@ SECTION_TRIES = 4
 SECTION_FIELD_MIN = 64
 PLANE_STREAM = 2**32  # plane k is drawn from the Philox key [seed, PLANE_STREAM + k]
 MAX_PLANE_DRAWS = 64
+# outcome codes, 2 * certificate + decision; no path sets 6, probable out
+CERTIFICATES = ("rank", "count", "section", "probable", "set")
+OUT_RANK, IN_RANK, OUT_COUNT, IN_COUNT, OUT_SECTION, IN_SECTION = range(6)
+PROBABLE, OUT_SET, IN_SET = 7, 8, 9
 
 
 def _ring_of(generators, field, r):
@@ -367,7 +378,8 @@ def section_budget(r: int, degrees, s: int) -> int:
 
 def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
                        seed: int = 0) -> np.ndarray:
-    """``dim_at_least`` of every row of a block, as a bool array.
+    """``dim_at_least`` of every row of a block, as a uint8 array of outcome
+    codes (see the module docstring): code & 1 is the decision.
 
     A block of linear forms is ranked as one (n, k, r + 1) stack.  Otherwise
     rows with the same live forms share t and the planes, so each such group
@@ -383,16 +395,18 @@ def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
     check_seed(seed)
     block = _checked_block(field, r, degrees, block)
     if s > r:
-        return np.zeros(len(block), dtype=bool)
+        return np.full(len(block), OUT_COUNT, dtype=np.uint8)
     if all(d == 1 for d in degrees):
-        return r - batch_rank(field, block.reshape(len(block), len(degrees), r + 1)) >= s
+        rank = batch_rank(field, block.reshape(len(block), len(degrees), r + 1))
+        return np.where(r - rank >= s, IN_RANK, OUT_RANK).astype(np.uint8)
     groups = _live_groups(field, r, degrees, block)
-    hit = np.ones(len(block), dtype=bool)
+    code = np.full(len(block), IN_COUNT, dtype=np.uint8)
     b = r - s
     # fewer than b + 1 live forms: certified in
     sections = [(degrees, members, coeffs, section_budget(r, degrees, s))
                 for degrees, members, coeffs in groups if len(degrees) > b]
     for degrees, members, coeffs, t in sections:
+        code[members] = IN_SECTION if b == r else PROBABLE
         ext, emb = section_field(field)
         coeffs = [emb[c] for c in coeffs]
         # at s = 0 the plane is all of P^r: its one section is exact
@@ -400,12 +414,12 @@ def batch_dim_at_least(field: Field, r: int, degrees, block, s: int,
             section = [rows_times(ext, c, restriction_map(ext, r, b, seed, k, d))
                        for d, c in zip(degrees, coeffs)]
             empty = _piece_ranks(ext, b, t, degrees, section) == n_monomials(b, t)
-            hit[members[empty]] = False
+            code[members[empty]] = OUT_SECTION
             members = members[~empty]
             if not members.size:
                 break
             coeffs = [c[~empty] for c in coeffs]
-    return hit
+    return code
 
 
 def dim_at_least(generators, s: int, field: Field | None = None, r: int | None = None,
@@ -419,4 +433,4 @@ def dim_at_least(generators, s: int, field: Field | None = None, r: int | None =
     only on the field, r, s and the seed.
     """
     field, r, degrees, block = _as_block(generators, field, r)
-    return bool(batch_dim_at_least(field, r, degrees, block, s, seed)[0])
+    return bool(batch_dim_at_least(field, r, degrees, block, s, seed)[0] & 1)

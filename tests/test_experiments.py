@@ -39,6 +39,7 @@ from excodim.fforacle.fields import (
     parse_field,
 )
 from excodim.fforacle.hilbert import (
+    IN_SET,
     batch_dim_at_least,
     batch_projective_dim_hilbert,
     dim_at_least,
@@ -87,7 +88,7 @@ def _plain_hits(r, degrees, a, field):
         if set(degrees) == {1}:
             hit = r - batch_rank(field, block.reshape(len(block), len(degrees), r + 1)) >= s
         else:
-            hit = batch_dim_at_least(field, r, degrees, block, s, DEFAULT_SEED)
+            hit = batch_dim_at_least(field, r, degrees, block, s, DEFAULT_SEED) & 1
         hits += int(np.count_nonzero(hit))
     return hits
 
@@ -569,7 +570,7 @@ def test_crosscheck_failure_names_nonlinear_sample(monkeypatch, r, degrees):
     # a section test that inverts every decision must trip the first check,
     # whatever the threshold s = r - k + 1
     real = experiments.batch_dim_at_least
-    monkeypatch.setattr(experiments, "batch_dim_at_least", lambda *a, **kw: ~real(*a, **kw))
+    monkeypatch.setattr(experiments, "batch_dim_at_least", lambda *a, **kw: real(*a, **kw) ^ 1)
     field, seed, s = gf(2), 31, r - len(degrees) + 1
     with pytest.raises(InvariantError) as err:
         excess_experiment(r, degrees, 1, field, mode="sampled", trials=50, seed=seed)
@@ -582,10 +583,11 @@ def test_crosscheck_failure_names_nonlinear_sample(monkeypatch, r, degrees):
     assert dim_at_least(gens, s, field, r, seed) == (projective_dim_hilbert(gens) >= s)
 
 
-def wrong_reference_from(first_wrong: int, r: int):
-    """A batched Hilbert reference that turns wrong from the checked sample
-    with index first_wrong on: dimensions >= 1 become -1, the rest r."""
-    real = experiments.batch_projective_dim_hilbert
+def wrong_reference_from(first_wrong: int, r: int, name: str = "batch_projective_dim_hilbert"):
+    """A batched reference, the Hilbert window or the linear point count,
+    that turns wrong from the checked sample with index first_wrong on:
+    dimensions >= 1 become -1, the rest r."""
+    real = getattr(experiments, name)
 
     def wrong(*args):
         dims = real(*args)
@@ -595,13 +597,13 @@ def wrong_reference_from(first_wrong: int, r: int):
 
 
 def test_crosscheck_failure_names_chunk_and_replays(monkeypatch):
-    # linear tuples over two chunks; the Hilbert reference turns wrong from
-    # the first check of chunk 1 on
+    # linear tuples over two chunks; their reference, the exact point count,
+    # turns wrong from the first check of chunk 1 on
     field, r, trials, seed = gf(3), 3, CHUNK + 904, 12
     every = trials // experiments.CROSSCHECK_SAMPLES
     checks_in_chunk0 = -(-CHUNK // every)
-    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert",
-                        wrong_reference_from(checks_in_chunk0, r))
+    monkeypatch.setattr(experiments, "_linear_dims",
+                        wrong_reference_from(checks_in_chunk0, r, "_linear_dims"))
     with pytest.raises(InvariantError) as err:
         excess_experiment(r, (1, 1, 1), 1, field, mode="sampled", trials=trials, seed=seed)
     got_seed, chunk, gens = replayed_sample(str(err.value))
@@ -672,7 +674,7 @@ def test_plane_spot_check_picks_nonzero_members(monkeypatch, q, ell):
     half = experiments.VERIFY_SAMPLES // 2
     members = set(repeated_factor_keys(field, 2, ell).tolist())
     picks = [a[3] for a in seen[:half]]
-    assert len(seen) == experiments.VERIFY_SAMPLES and all(a[7] for a in seen[:half])
+    assert len(seen) == experiments.VERIFY_SAMPLES and all(a[7] == IN_SET for a in seen[:half])
     assert all(row.any() for row in picks)
     assert all(int(key) in members for key in _row_keys(q, np.array(picks)))
     assert len({row.tobytes() for row in picks}) == half
@@ -696,7 +698,8 @@ def test_plane_spot_check_failure_names_the_form(monkeypatch):
 
 
 @pytest.mark.parametrize("degrees, mode, hits, checked, skipped", [
-    ((1, 1, 1), "exhaustive", 6728, 49, 44),
+    # linear samples are checked by their exact point count, never skipped
+    ((1, 1, 1), "exhaustive", 6728, 49, 0),
     ((1, 2), "sampled", 12, 50, 47),
     ((2, 2), "sampled", 0, 50, 50),
 ])
@@ -755,8 +758,9 @@ def test_euler_drop_keeps_the_singular_decisions(ell, n):
                               for _ in range(n // 2))]
     block = _singular_block(field, r, ell, np.array([F.coeffs for F in forms]), 0)
     degrees = _singular_degrees(r, ell, 0)
-    with_f = batch_dim_at_least(field, r, degrees, block, 1, 5)
-    without_f = batch_dim_at_least(field, r, degrees[1:], block[:, n_monomials(r, ell):], 1, 5)
+    with_f = batch_dim_at_least(field, r, degrees, block, 1, 5) & 1
+    without_f = batch_dim_at_least(field, r, degrees[1:], block[:, n_monomials(r, ell):],
+                                   1, 5) & 1
     assert with_f.tolist() == without_f.tolist()
     assert with_f[n // 2:].all()
 
@@ -780,7 +784,7 @@ def test_singular_sections_keep_f_for_even_ell(monkeypatch, ell):
         F = x[0] * x[0] * x[0] * x[1] + x[2] * x[2] * x[2] * x[3] + x[1].square().square()
         with_f, without_f = (
             batch_dim_at_least(gf(2), 3, _singular_degrees(3, ell, skip),
-                               _singular_block(gf(2), 3, ell, F.coeffs[None], skip), 1)[0]
+                               _singular_block(gf(2), 3, ell, F.coeffs[None], skip), 1)[0] & 1
             for skip in (0, 1))
         assert not with_f and without_f
 
@@ -847,3 +851,158 @@ def test_run_deciders_pickle(monkeypatch, run):
     block = np.random.default_rng(5).integers(0, q, size=(256, sum(dims)), dtype=np.uint16)
     copy = pickle.loads(pickle.dumps(decide))
     assert copy(block).tolist() == decide(block).tolist()
+
+
+def test_plane_lookup_codes_are_set_codes():
+    # the zero form and X_0^2 X_1 have a repeated factor; the Fermat cubic
+    # X_0^3 + X_1^3 + X_2^3 is smooth over GF(2)
+    field = gf(2)
+    x = [MultiPoly.variable(field, 2, i) for i in range(3)]
+    forms = [MultiPoly.zero(field, 2, 3), x[0] * x[0] * x[1],
+             x[0] * x[0] * x[0] + x[1] * x[1] * x[1] + x[2] * x[2] * x[2]]
+    rows = np.array([F.coeffs for F in forms])
+    codes = experiments._is_marked(repeated_factor_keys(field, 2, 3), 2, rows)
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == [hilbert.IN_SET, hilbert.IN_SET, hilbert.OUT_SET]
+
+
+def _histogram(**counts):
+    outcomes = [0] * 2 * len(hilbert.CERTIFICATES)
+    for name, count in counts.items():
+        outcomes[getattr(hilbert, name)] = count
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize("run, outcomes", [
+    (lambda: excess_experiment(2, (1, 1), 1, gf(7), mode="exhaustive"),
+     _histogram(OUT_RANK=114_912, IN_RANK=2_737)),
+    (lambda: excess_experiment(2, (2, 2), 1, gf(2, 2), mode="sampled", trials=200),
+     _histogram(OUT_SECTION=197, PROBABLE=3)),
+    (lambda: singular_experiment(3, 3, gf(2), mode="sampled", trials=40),
+     _histogram(OUT_SECTION=40)),
+    (lambda: singular_experiment(2, 3, gf(2), mode="exhaustive"),
+     _histogram(OUT_SET=974, IN_SET=50)),
+], ids=["linear-exhaustive", "plane-gf4", "space-singular", "plane-singular"])
+def test_outcome_histograms_are_pinned(run, outcomes):
+    # the benchmark runs at the default seed, and the plane cubics
+    res = run()
+    assert (res.outcomes, res.hits) == (outcomes, sum(outcomes[1::2]))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: excess_experiment(2, (1, 1), 1, gf(3), mode="exhaustive"),
+    lambda: excess_experiment(2, (1, 1), 1, gf(3), mode="sampled", trials=500),
+    lambda: excess_experiment(2, (1, 2), 1, gf(2), mode="exhaustive"),
+    lambda: excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=500),
+    lambda: excess_experiment(2, (2, 2, 2), 1, gf(2), mode="sampled", trials=300),  # s = 0
+    lambda: excess_experiment(3, (1, 2), 1, gf(3), mode="sampled", trials=300),
+    lambda: singular_experiment(2, 3, gf(2), mode="exhaustive"),
+    lambda: singular_experiment(2, 3, gf(3), mode="sampled", trials=500),
+    lambda: singular_experiment(3, 3, gf(2), mode="sampled", trials=64),
+], ids=["linear-exhaustive", "linear-sampled", "mixed-exhaustive",
+        "mixed-sampled", "s0-sampled", "r3-sampled", "plane-exhaustive", "plane-sampled",
+        "space-sampled"])
+def test_outcomes_count_every_tuple(run):
+    res = run()
+    assert sum(res.outcomes) == res.trials
+    assert res.hits == sum(res.outcomes[1::2])
+    assert len(res.outcomes) == 2 * len(hilbert.CERTIFICATES)
+    assert res.outcomes[2 * hilbert.CERTIFICATES.index("probable")] == 0  # never set
+
+
+def test_rank_count_matches_enumeration():
+    for q, k, n in [(2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 4, 2), (4, 2, 2)]:
+        ranks = batch_rank(parse_field(str(q)), _all_coeff_rows(q, k * n).reshape(-1, k, n))
+        assert [experiments._rank_count(q, k, n, rho) for rho in range(min(k, n) + 2)] == [
+            int(np.count_nonzero(ranks == rho)) for rho in range(min(k, n) + 2)]
+
+
+EXHAUSTIVE_LINEAR_RUNS = [
+    (q, r, k, a) for q in (2, 3, 4, 5, 7, 8, 9) for r in range(1, 5) for k in range(1, 5)
+    for a in range(max(1, k - r), k + 1) if _n_classes(q, r + 1) ** k <= 4096]
+
+
+@pytest.mark.parametrize("q, r, k, a", EXHAUSTIVE_LINEAR_RUNS)
+def test_exhaustive_linear_runs_match_the_rank_count(q, r, k, a):
+    # k linear forms on P^r cut out a space of dimension >= s = r - k + a
+    # exactly when their k x (r + 1) matrix has rank <= r - s
+    res = excess_experiment(r, (1,) * k, a, parse_field(str(q)), mode="exhaustive")
+    in_rank = sum(experiments._rank_count(q, k, r + 1, rho) for rho in range(k - a + 1))
+    assert res.outcomes == _histogram(OUT_RANK=q ** (k * (r + 1)) - in_rank, IN_RANK=in_rank)
+    assert res.crosscheck_skipped == 0
+
+
+def flipping_rank(index: int, r: int, s: int):
+    """A ``batch_rank`` for the section test that moves the rank of one row
+    of its first stack across r - s, flipping that row's decision."""
+    real, calls = hilbert.batch_rank, []
+
+    def flipped(field, stack):
+        ranks = real(field, stack)
+        if not calls:
+            ranks = ranks.copy()
+            ranks[index] = r - s + 1 if ranks[index] <= r - s else r - s
+        calls.append(len(stack))
+        return ranks
+
+    return flipped
+
+
+def test_linear_crosscheck_is_exact(monkeypatch):
+    # r = 4 linear runs take no Hilbert window and no point probe, and the
+    # exact point count checks all of their samples
+    def no_reference(*args):
+        raise AssertionError("a heuristic reference was taken")
+
+    monkeypatch.setattr(experiments, "batch_projective_dim_hilbert", no_reference)
+    monkeypatch.setattr(experiments, "batch_projective_dim_points", no_reference)
+    res = excess_experiment(4, (1, 1), 1, gf(3))
+    assert (res.mode, res.hits, res.crosscheck_skipped) == ("exhaustive", 969, 0)
+    # P^4 over GF(3) has 121 points, a point 1, a line 4 and a plane 13
+    x = [MultiPoly.variable(gf(3), 4, i) for i in range(5)]
+    rows = np.array([np.concatenate([x[i].coeffs for i in forms]) for forms in (
+        range(5), [0, 1, 2, 3, 3], [0, 1, 2, 2, 2], [0, 1, 1, 1, 1], [0] * 5)])
+    assert experiments._linear_dims(gf(3), 4, rows) == [-1, 0, 1, 2, 3]
+
+
+def test_flipped_rank_fails_the_sample_crosscheck(monkeypatch):
+    # the first sample of chunk 0 is checked: its exact point count disagrees
+    # with a decision from a wrong rank, and the failure names it
+    field, r, degrees, seed = gf(3), 3, (1, 1, 1), 12
+    monkeypatch.setattr(hilbert, "batch_rank", flipping_rank(0, r, 1))
+    with pytest.raises(InvariantError) as err:
+        excess_experiment(r, degrees, 1, field, mode="sampled", trials=500, seed=seed)
+    message = str(err.value)
+    assert re.match(r"the sample's decision dim >= 1 is (True|False), by rank, but the "
+                    r"reference gives dimension -?\d+; seed 12, chunk 0", message)
+    row = _chunk_rng(seed, 0).integers(0, 3, size=(500, 12), dtype=np.uint16)[0]
+    _, _, gens = replayed_sample(message)
+    assert [g.coeffs.tolist() for g in gens] == [row[4 * i:4 * i + 4].tolist() for i in range(3)]
+
+
+def test_flipped_rank_fails_the_run_count(monkeypatch):
+    # the second row of the walk is not crosschecked, so only the exhaustive
+    # run's closed-form count catches its wrong rank
+    field, r = gf(3), 2
+    assert max(1, _n_classes(3, 3) ** 2 // experiments.CROSSCHECK_SAMPLES) > 1
+    monkeypatch.setattr(hilbert, "batch_rank", flipping_rank(1, r, 1))
+    with pytest.raises(InvariantError, match=r"^103 tuples are in by rank, but 105 2x3 matrices "
+                                             r"over GF\(3\) have rank at most 1"):
+        excess_experiment(r, (1, 1), 1, field, mode="exhaustive")
+
+
+def test_crosscheck_failure_names_the_certificate(monkeypatch):
+    # inverted section decisions keep their certificate, which the failure
+    # names next to the reference dimension
+    real = experiments.batch_dim_at_least
+    monkeypatch.setattr(experiments, "batch_dim_at_least", lambda *a, **kw: real(*a, **kw) ^ 1)
+    field, r, degrees, seed = gf(2), 2, (2, 2), 31
+    with pytest.raises(InvariantError) as err:
+        excess_experiment(r, degrees, 1, field, mode="sampled", trials=50, seed=seed)
+    hit, certificate, dim = re.match(
+        r"the sample's decision dim >= 1 is (True|False), by (\w+), but the reference gives "
+        r"dimension (-?\d+)", str(err.value)).groups()
+    row = _chunk_rng(seed, 0).integers(0, 2, size=(50, 12), dtype=np.uint16)[:1]
+    code = int(real(field, r, list(degrees), row, 1, seed)[0])
+    assert (hit, certificate) == (str(not code & 1), hilbert.CERTIFICATES[code >> 1])
+    assert int(dim) == batch_projective_dim_hilbert(field, r, list(degrees), row)[0]

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +231,20 @@ def test_embedding_tables_are_pinned(p, e, m):
     emb = gf(p, e).extension(m)[1]
     digest = hashlib.sha256(np.ascontiguousarray(emb, dtype="<u2").tobytes()).hexdigest()
     assert digest == EMBEDDING_DIGESTS[p, e, m]
+
+
+def test_extension_tables_build_in_small_memory():
+    # the sum table is built one digit at a time in one reused uint16
+    # buffer: GF(2^10)'s four (q, q) tables need 4 MB, and the build peaks
+    # at 10 MB at most (the int64 sum table alone was 8 MB)
+    field = _build_field(2, 10)
+    tables = [field.ADD.copy(), field.MUL.copy(), field.NEG.copy(), field.INV.copy()]
+    tracemalloc.start()
+    try:
+        field._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+    for old, new in zip(tables, [field.ADD, field.MUL, field.NEG, field.INV]):
+        assert new.dtype == np.uint16 and np.array_equal(old, new)

@@ -377,7 +377,7 @@ def test_batched_tests_match_per_sample_results(spec, r, examples):
         dims = batch_projective_dim_hilbert(field, r, degrees, block)
         assert dims == [projective_dim_hilbert(g, field, r) for g in samples]
         assert dims == [window_dim(g, field, r) for g in samples]
-        hits = batch_dim_at_least(field, r, degrees, block, s, seed)
+        hits = batch_dim_at_least(field, r, degrees, block, s, seed) & 1
         assert hits.tolist() == [dim_at_least(g, s, field, r, seed) for g in samples]
 
     check()
@@ -449,7 +449,7 @@ def test_section_budget_is_checked_before_any_map_is_built(monkeypatch, r, degre
 def test_blocks_of_the_wrong_shape_or_codes_are_rejected():
     f = gf(2)
     good = np.zeros((2, 9), dtype=np.uint16)  # a conic and a line on P^2 per row
-    assert batch_dim_at_least(f, 2, [2, 1], good, 1).tolist() == [True, True]
+    assert batch_dim_at_least(f, 2, [2, 1], good, 1).tolist() == [hilbert.IN_COUNT] * 2
     assert batch_projective_dim_hilbert(f, 2, [2, 1], good) == [2, 2]
     # a GF(3) code in a GF(2) block, a negative code, a wrong width, one row
     # without its block axis
@@ -494,7 +494,9 @@ def test_linear_blocks_are_ranked_exactly(monkeypatch, spec, r):
         ranks = [matrix_rank(field, row) for row in block]
         for s in range(r + 2):
             decided = batch_dim_at_least(field, r, [1] * k, block.reshape(60, -1), s, seed=7)
-            assert decided.tolist() == [r - rank >= s for rank in ranks]
+            assert decided.tolist() == [
+                hilbert.OUT_COUNT if s > r else hilbert.IN_RANK if r - rank >= s
+                else hilbert.OUT_RANK for rank in ranks]
 
 
 @pytest.mark.parametrize("spec, degrees", [((2, 1), (2, 2, 2)), ((3, 1), (2, 2, 3))])
@@ -512,7 +514,7 @@ def test_s0_builds_only_the_first_plane(monkeypatch, spec, degrees):
     rng = np.random.default_rng(list(degrees))
     block = rng.integers(0, field.q, size=(200, sum(n_monomials(r, d) for d in degrees)),
                          dtype=np.uint16)
-    decided = batch_dim_at_least(field, r, degrees, block, 0, seed=3)
+    decided = batch_dim_at_least(field, r, degrees, block, 0, seed=3) & 1
     assert planes == {0}
     reference = batch_projective_dim_hilbert(field, r, degrees, block)
     assert decided.tolist() == [dim >= 0 for dim in reference]
@@ -528,3 +530,40 @@ def test_forms_of_degree_0_are_refused():
         dim_at_least([one], 0)
     with pytest.raises(ParameterError, match="need degrees >= 1"):
         batch_dim_at_least(gf(3), 2, [1, 0], np.zeros((4, 4), dtype=np.uint16), 1)
+
+
+def test_outcome_codes_name_their_certificate():
+    # code = 2 * certificate + decision, set where the decision is known
+    f, r = gf(2), 2
+    x = [MultiPoly.variable(f, r, i) for i in range(3)]
+    zero = MultiPoly.zero(f, r, 2)
+    codes = (hilbert.OUT_RANK, hilbert.IN_RANK, hilbert.OUT_COUNT, hilbert.IN_COUNT,
+             hilbert.OUT_SECTION, hilbert.IN_SECTION, hilbert.PROBABLE, hilbert.OUT_SET,
+             hilbert.IN_SET)
+    assert [(hilbert.CERTIFICATES[code >> 1], code & 1) for code in codes] == [
+        ("rank", 0), ("rank", 1), ("count", 0), ("count", 1), ("section", 0), ("section", 1),
+        ("probable", 1), ("set", 0), ("set", 1)]
+    # linear: a repeated line cuts out a line, two lines a point
+    linear = as_block([[x[0], x[0]], [x[0], x[1]]])
+    assert batch_dim_at_least(f, r, [1, 1], linear, 1).tolist() == [
+        hilbert.IN_RANK, hilbert.OUT_RANK]
+    # s > r is out by count, for linear and other forms alike
+    assert batch_dim_at_least(f, r, [1, 1], linear, 3).tolist() == [hilbert.OUT_COUNT] * 2
+    conics = as_block([[x[0] * x[0], zero], [x[0] * x[0], x[1] * x[1]],
+                       [x[0] * x[0], x[0] * x[1]]])
+    assert batch_dim_at_least(f, r, [2, 2], conics, 3).tolist() == [hilbert.OUT_COUNT] * 3
+    # s = 1 on P^2: one live conic is in by count; two conics meeting in a
+    # point have an empty line section; two sharing the line X_0 = 0 are
+    # probably in
+    assert batch_dim_at_least(f, r, [2, 2], conics, 1).tolist() == [
+        hilbert.IN_COUNT, hilbert.OUT_SECTION, hilbert.PROBABLE]
+    # s = 0: the one section decides, both ways
+    triples = as_block([[x[0] * x[0], x[0] * x[1], x[1] * x[1]],
+                        [x[0] * x[0], x[1] * x[1], x[2] * x[2]]])
+    assert batch_dim_at_least(f, r, [2, 2, 2], triples, 0).tolist() == [
+        hilbert.IN_SECTION, hilbert.OUT_SECTION]
+    for block, degrees, s in ((linear, [1, 1], 1), (conics, [2, 2], 1), (triples, [2, 2, 2], 0)):
+        decided = batch_dim_at_least(f, r, degrees, block, s)
+        assert decided.dtype == np.uint8
+        assert (decided & 1).tolist() == [
+            dim >= s for dim in batch_projective_dim_hilbert(f, r, degrees, block)]
