@@ -8,8 +8,10 @@ floating point except the final logarithm.
 """
 
 from excodim.fforacle import projective_dim_hilbert
-from excodim.fforacle.experiments import excess_experiment, restriction_codim, singular_experiment
+from excodim.fforacle.experiments import DEFAULT_SEED, excess_experiment, singular_experiment
 from excodim.fforacle.fields import gf
+from excodim.fforacle.hilbert import restriction_map
+from excodim.fforacle.linalg import matrix_rank
 from excodim.fforacle.polynomials import MultiPoly
 
 print("=" * 72)
@@ -53,4 +55,5 @@ print("\n" + "=" * 72)
 print("vanishing on a b-plane imposes exactly C(d+b, b) conditions")
 print("=" * 72)
 for (r, d, b) in [(4, 3, 1), (4, 2, 2), (3, 5, 3), (5, 4, 2)]:
-    print(f"  r={r}, d={d}, b={b}: rank {restriction_codim(r, d, b)}")
+    rank = matrix_rank(gf(2), restriction_map(gf(2), r, b, DEFAULT_SEED, 0, d))
+    print(f"  r={r}, d={d}, b={b}: rank {rank}")

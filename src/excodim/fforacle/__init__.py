@@ -40,7 +40,6 @@ _EXPORTS = {
     "excess_experiment": "experiments",
     "poonen_combine": "experiments",
     "poonen_sample": "experiments",
-    "restriction_codim": "experiments",
     "singular_experiment": "experiments",
 }
 _SUBMODULES = ("fields", "polynomials", "linalg", "hilbert", "points", "experiments")

@@ -69,32 +69,30 @@ system: for ell = 3 over GF(2) the sections rank 24 x 15 matrices in degree
 stays.  The Hilbert reference that checks the plane's repeated-factor set
 always keeps F, so that it stays independent.
 
-In an excess run about CROSSCHECK_SAMPLES evenly spaced samples (orbit
-representatives in exhaustive mode) are also checked against two
-independent detectors: the Hilbert-window dimension must give the same
-decision dim >= r - k + a, and a conclusive point count must be matched by
-a positive Hilbert dimension.  After the last chunk, one
-``batch_projective_dim_hilbert`` call on the block of their rows gives all
-their dimensions, and one ``batch_projective_dim_points`` call on the rows
-whose window fits gives all their point counts; the samples are then
-compared one by one in sample order.  The window of a sample can go over
-the matrix budget (from r = 4 on it mostly does); the reference gives None
-for such a sample, which is neither probed nor checked, and the result
-counts it in ``crosscheck_skipped``.  A linear run whose P^r(F_q) has at
-most ``points.MAX_POINTS`` points is checked exactly instead, on paths
-independent of ``batch_rank``: a linear space of dimension delta has
-(q^(delta + 1) - 1) / (q - 1) points, so one ``_common_zeros`` count over
-the field gives each checked sample its dimension, with no window and no
-probe (``_linear_dims``); and the in-by-rank tally of an exhaustive linear
-run must equal the number of k x (r + 1) matrices of rank at most r - s
-over F_q (``_rank_count``).  A plane singular run checks
-VERIFY_SAMPLES forms the same way, half spaced through its repeated-factor
-set and half drawn from Philox stream 2^31, with one batched reference call
-on their [F | partials] block; there a window over budget raises
-BudgetError.  Both checks compare through ``_crosscheck_sample``.  A failed
-check raises ``InvariantError`` naming the decision's certificate next to
-the reference dimension, and the first failing sample as ``poly_to_line``
-lines with its seed and chunk, so it can be replayed.
+Every crosscheck is one call of ``_crosscheck`` on a block of samples, their
+rows, outcome codes and chunks, which checks each decision dim >= s against
+independent detectors and returns how many rows it skipped.  Linear forms
+whose P^r(F_q) has at most ``points.MAX_POINTS`` points are checked exactly,
+off ``batch_rank``: a linear space of dimension delta has (q^(delta + 1) - 1)
+/ (q - 1) points, so one ``_common_zeros`` count gives each row its dimension
+(``_linear_dims``).  Any other block takes one ``batch_projective_dim_hilbert``
+call, and the rows whose window fits one point probe over PROBE_M_MAX
+extension degrees: a conclusive positive count must be matched by a
+positive dimension.  A row whose window is over the matrix budget (from r =
+4 on most are) is skipped.
+Rows are compared in order, so the check is block-local: a block checked in
+parts skips as many rows and fails on the same row with the same message.
+An excess run checks the block ``_walk`` keeps, about CROSSCHECK_SAMPLES
+evenly spaced samples (orbit representatives in exhaustive mode), and
+reports the skips as ``crosscheck_skipped``; the in-by-rank tally of an
+exhaustive linear run must also equal the number of k x (r + 1) matrices of
+rank at most r - s over F_q (``_rank_count``).  A plane singular run checks
+the [F | partials] rows of VERIFY_SAMPLES forms, half spaced through its
+repeated-factor set and half drawn from Philox stream 2^31 (its chunk), with
+s = 1; a skipped form raises BudgetError.  A failed check raises
+``InvariantError`` naming the decision's certificate next to the reference
+dimension, and the failing sample as ``poly_to_line`` lines (a plane form F
+and then its partials) with its seed and chunk, so it can be replayed.
 
 The mode, trials and seed are checked before any work; a bad value,
 or trials given to exhaustive mode, raises ParameterError.  The budgets of
@@ -112,7 +110,7 @@ import numpy as np
 from ..applications import singular_line_codim
 from ..errors import BudgetError, InvariantError, ParameterError
 from ..strata import span_stratum_exact
-from .fields import Field, _all_coeff_rows, _class_rows, _digits, _n_classes, _row_keys, gf
+from .fields import Field, _all_coeff_rows, _class_rows, _digits, _n_classes, _row_keys
 from .hilbert import (
     CERTIFICATES,
     IN_RANK,
@@ -121,12 +119,11 @@ from .hilbert import (
     batch_dim_at_least,
     batch_projective_dim_hilbert,
     check_seed,
-    restriction_map,
     section_budget,
     section_field,
 )
-from .linalg import matrix_rank, rows_times
-from .points import MAX_POINTS, PointProbe, _common_zeros, batch_projective_dim_points
+from .linalg import rows_times
+from .points import MAX_POINTS, _common_zeros, batch_projective_dim_points
 from .polynomials import MultiPoly, macaulay_stack, n_monomials, partial_rows, poly_to_line
 
 DEFAULT_SEED = 271828
@@ -221,15 +218,17 @@ def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(forms, axis=1), (q - 1) ** live
 
 
-def _walk(mode: str, q: int, dims, samples: int, seed: int, decide) -> tuple[np.ndarray, list]:
+def _walk(mode: str, q: int, dims, samples: int, seed: int,
+          decide) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decide the ``samples`` samples of a run, the walk length ``_plan``
     gives, one CHUNK-sized block at a time: the class walk with its orbit
     weights in exhaustive mode, the chunk's Philox draws in sampled mode.
     ``decide`` maps a block to its outcome codes.  Returns the int64
-    histogram of the weighted codes and the (row, code, chunk) of every
-    samples // CROSSCHECK_SAMPLES-th sample, for the crosscheck."""
+    histogram of the weighted codes and the kept block of every
+    samples // CROSSCHECK_SAMPLES-th sample for ``_crosscheck``: its rows,
+    codes and chunks, as three arrays."""
     check_every = max(1, samples // CROSSCHECK_SAMPLES)
-    outcomes, checked = np.zeros(2 * len(CERTIFICATES), dtype=np.int64), []
+    outcomes, kept = np.zeros(2 * len(CERTIFICATES), dtype=np.int64), []
     for lo in range(0, samples, CHUNK):
         chunk, n = lo // CHUNK, min(CHUNK, samples - lo)
         if mode == "exhaustive":
@@ -239,9 +238,10 @@ def _walk(mode: str, q: int, dims, samples: int, seed: int, decide) -> tuple[np.
                 0, q, size=(n, sum(dims)), dtype=np.uint16), 1
         code = decide(block)
         np.add.at(outcomes, code, weight)
-        checked.extend((block[i], int(code[i]), chunk)
-                       for i in range((-lo) % check_every, n, check_every))
-    return outcomes, checked
+        keep = slice((-lo) % check_every, n, check_every)
+        rows = block[keep]
+        kept.append((rows, code[keep], np.full(len(rows), chunk)))
+    return outcomes, *(np.concatenate(part) for part in zip(*kept))
 
 
 def _result(outcomes: np.ndarray, trials: int, q: int, **run) -> ExperimentResult:
@@ -282,28 +282,35 @@ def _replay_note(field: Field, r: int, degrees, row: np.ndarray, seed: int, chun
     return f"seed {seed}, chunk {chunk}, generators:\n{lines}"
 
 
-def _crosscheck_sample(field: Field, r: int, degrees, row: np.ndarray, seed: int, chunk: int,
-                       s: int, code: int, ref: int, probe: PointProbe | None):
-    """Independent-detector agreement for one sample, the coefficient row of
-    forms of the given degrees: its reference dimension ref (the Hilbert
-    window, or the exact point count of linear forms) must give the decision
-    of its outcome code, dim >= s, and a conclusive positive point count
-    (probe, None when no extension fits the point budget or none was taken)
-    must be matched by it, or the run dies naming the sample and the
-    decision's certificate."""
-    hit = bool(code & 1)
-    if (ref >= s) != hit:
-        raise InvariantError(
-            f"the sample's decision dim >= {s} is {hit}, by {CERTIFICATES[code >> 1]}, but "
-            f"the reference gives dimension {ref}; "
-            f"{_replay_note(field, r, degrees, row, seed, chunk)}"
-        )
-    if probe is not None and probe.positive_dimensional and ref < 1:
-        raise InvariantError(
-            f"point count {probe.counts} exceeds cutoff {probe.cutoff} but the "
-            f"Hilbert detector gives dimension {ref}; "
-            f"{_replay_note(field, r, degrees, row, seed, chunk)}"
-        )
+def _crosscheck(field: Field, r: int, degrees, s: int, rows: np.ndarray, codes: np.ndarray,
+                chunks: np.ndarray, seed: int) -> int:
+    """Check the decisions dim >= s of a block of samples, coefficient rows
+    of forms of the given degrees with their outcome codes and chunks,
+    against the reference the module docstring describes; the first
+    disagreeing row raises InvariantError with its replay note.  Returns the
+    number of rows skipped because their window is over budget."""
+    exact = all(d == 1 for d in degrees) and _n_classes(field.q, r + 1) - 1 <= MAX_POINTS
+    dims = (_linear_dims(field, r, rows) if exact else
+            batch_projective_dim_hilbert(field, r, degrees, rows))
+    fits = [i for i, dim in enumerate(dims) if dim is not None]
+    probes = ([None] * len(fits) if exact else
+              batch_projective_dim_points(field, r, degrees, rows[fits], PROBE_M_MAX))
+    for i, probe in zip(fits, probes):
+        code, ref = int(codes[i]), dims[i]
+        hit = bool(code & 1)
+        if (ref >= s) != hit:
+            raise InvariantError(
+                f"the sample's decision dim >= {s} is {hit}, by {CERTIFICATES[code >> 1]}, but "
+                f"the reference gives dimension {ref}; "
+                f"{_replay_note(field, r, degrees, rows[i], seed, chunks[i])}"
+            )
+        if probe is not None and probe.positive_dimensional and ref < 1:
+            raise InvariantError(
+                f"point count {probe.counts} exceeds cutoff {probe.cutoff} but the "
+                f"Hilbert detector gives dimension {ref}; "
+                f"{_replay_note(field, r, degrees, rows[i], seed, chunks[i])}"
+            )
+    return len(dims) - len(fits)
 
 
 def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
@@ -330,7 +337,7 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     mode, trials, samples = _plan(mode, trials, field, dims, 20_000,
                                   None if linear else (r, degrees, threshold))
     decide = partial(batch_dim_at_least, field, r, degrees, s=threshold, seed=seed)
-    outcomes, checked = _walk(mode, q, dims, samples, seed, decide)
+    outcomes, *kept = _walk(mode, q, dims, samples, seed, decide)
     if linear and mode == "exhaustive":
         ranked = sum(_rank_count(q, k, r + 1, rho) for rho in range(r - threshold + 1))
         if outcomes[IN_RANK] != ranked:
@@ -338,25 +345,9 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
                 f"{outcomes[IN_RANK]} tuples are in by rank, but {ranked} {k}x{r + 1} "
                 f"matrices over GF({q}) have rank at most {r - threshold}"
             )
-    # one batched reference and one batched point probe over the checked
-    # samples, compared in sample order, so the first disagreeing sample is
-    # the one named; a sample whose window is over budget (None) is skipped.
-    # Linear samples are checked by their exact point count, with no probe
-    rows = np.array([row for row, _, _ in checked])
-    exact = linear and _n_classes(q, r + 1) - 1 <= MAX_POINTS
-    ref_dims = (_linear_dims(field, r, rows) if exact else
-                batch_projective_dim_hilbert(field, r, degrees, rows))
-    fits = [i for i, ref in enumerate(ref_dims) if ref is not None]
-    probes = ([None] * len(fits) if exact else
-              batch_projective_dim_points(field, r, degrees, rows[fits], PROBE_M_MAX))
-    for i, probe in zip(fits, probes):
-        row, code, chunk = checked[i]
-        _crosscheck_sample(field, r, degrees, row, seed, chunk, threshold, code, ref_dims[i],
-                           probe)
-
+    skipped = _crosscheck(field, r, degrees, threshold, *kept, seed)
     return _result(outcomes, trials, q, kind="excess", r=r, degrees=degrees, a=a, mode=mode,
-                   seed=seed, predicted_codim=predicted,
-                   crosscheck_skipped=ref_dims.count(None))
+                   seed=seed, predicted_codim=predicted, crosscheck_skipped=skipped)
 
 
 def _singular_degrees(r: int, ell: int, skip: int) -> list[int]:
@@ -451,20 +442,20 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
             outcomes = np.zeros(2 * len(CERTIFICATES), dtype=np.int64)
             outcomes[[OUT_SET, IN_SET]] = trials - marked.size, marked.size
         else:
-            outcomes, _ = _walk(mode, q, [n], samples, seed, partial(_is_marked, marked, q))
+            outcomes, *_ = _walk(mode, q, [n], samples, seed, partial(_is_marked, marked, q))
         _verify_marked(field, r, ell, marked, seed)
     else:
-        outcomes, _ = _walk(mode, q, [n], samples, seed,
-                            partial(_singular_decide, field, r, ell, skip, seed))
+        outcomes, *_ = _walk(mode, q, [n], samples, seed,
+                             partial(_singular_decide, field, r, ell, skip, seed))
 
     return _result(outcomes, trials, q, kind="singular", r=r, ell=ell, mode=mode, seed=seed,
                    predicted_codim=predicted)
 
 
 def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int):
-    """Spot-check the repeated-factor set against the Hilbert reference, on
-    forms spaced through its nonzero keys and forms drawn from Philox stream
-    2^31, with one batched call on their [F | partials] block.  A form whose
+    """Spot-check the repeated-factor set on forms spaced through its
+    nonzero keys and forms drawn from Philox stream 2^31: one ``_crosscheck``
+    of their [F | partials] rows, with s = 1 and chunk 2^31.  A form whose
     window is over budget raises BudgetError: the check cannot pass on it."""
     half, n = VERIFY_SAMPLES // 2, n_monomials(r, ell)
     inside = marked[1:]  # key 0, the zero form, sorts first
@@ -472,12 +463,10 @@ def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int
     drawn = _chunk_rng(seed, 2**31).integers(0, field.q, size=(VERIFY_SAMPLES - len(picks), n),
                                              dtype=np.uint16)
     rows = np.concatenate([picks, drawn])
-    codes = _is_marked(marked, field.q, rows).tolist()
-    degrees, block = _singular_degrees(r, ell, 0), _singular_block(field, r, ell, rows, 0)
-    for row, code, dim in zip(rows, codes, batch_projective_dim_hilbert(field, r, degrees, block)):
-        if dim is None:
-            raise BudgetError(f"the Hilbert window of a degree-{ell} plane form is over budget")
-        _crosscheck_sample(field, r, [ell], row, seed, 2**31, 1, code, dim, None)
+    block = _singular_block(field, r, ell, rows, 0)
+    if _crosscheck(field, r, _singular_degrees(r, ell, 0), 1, block,
+                   _is_marked(marked, field.q, rows), np.full(len(rows), 2**31), seed):
+        raise BudgetError(f"the Hilbert window of a degree-{ell} plane form is over budget")
 
 
 @dataclass(frozen=True)
@@ -530,18 +519,3 @@ def poonen_sample(r: int, ell: int, field: Field, seed: int = DEFAULT_SEED) -> P
     base = MultiPoly.random(field, r, ell, rng)
     fudge = tuple(MultiPoly.random(field, r, dg, rng) for _ in range(r + 1))
     return PoonenSample(F=poonen_combine(base, fudge), base=base, fudge=fudge)
-
-
-def restriction_codim(r: int, d: int, b: int, field: Field | None = None,
-                      seed: int = DEFAULT_SEED) -> int:
-    """Rank of the restriction map from degree-d forms on projective r-space
-    to a seeded b-plane, computed by explicit linear algebra; a genuine
-    b-plane always gives C(d+b, b)."""
-    if field is None:
-        field = gf(2)
-    if not 0 <= b <= r:
-        raise ParameterError(f"need 0 <= b <= r, got b={b}, r={r}")
-    if d < 1:
-        raise ParameterError(f"need d >= 1, got {d}")
-    check_seed(seed)
-    return matrix_rank(field, restriction_map(field, r, b, seed, 0, d))

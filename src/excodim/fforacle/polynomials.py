@@ -142,7 +142,12 @@ class MultiPoly:
     __slots__ = ("field", "r", "d", "coeffs")
 
     def __init__(self, field: Field, r: int, d: int, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.uint16)
+        if r < 0 or d < 0:
+            raise ParameterError(f"need r >= 0 and d >= 0, got r={r}, d={d}")
+        try:
+            coeffs = np.asarray(coeffs, dtype=np.uint16)
+        except (OverflowError, TypeError, ValueError):
+            raise ParameterError("coefficient codes must be integers in range") from None
         if coeffs.shape != (n_monomials(r, d),):
             raise ParameterError(
                 f"coefficient vector must have length {n_monomials(r, d)} "
@@ -255,7 +260,9 @@ def poly_from_line(line: str) -> MultiPoly:
     parts = head.split()
     if len(parts) != 4:
         raise ParameterError(f"malformed polynomial line: {line!r}")
-    p, e, r, d = (int(x) for x in parts)
-    field = gf(p, e)
-    coeffs = [int(x) for x in body.split()]
-    return MultiPoly(field, r, d, coeffs)
+    try:
+        p, e, r, d = (int(x) for x in parts)
+        coeffs = [int(x) for x in body.split()]
+    except ValueError:
+        raise ParameterError(f"malformed polynomial line: {line!r}") from None
+    return MultiPoly(gf(p, e), r, d, coeffs)

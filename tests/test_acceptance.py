@@ -21,13 +21,14 @@ from excodim.strata import (
     worked_example,
 )
 from excodim.fforacle.experiments import (
+    DEFAULT_SEED,
     excess_experiment,
     poonen_combine,
-    restriction_codim,
     singular_experiment,
 )
 from excodim.fforacle.fields import _all_coeff_rows, gf
-from excodim.fforacle.hilbert import projective_dim_hilbert
+from excodim.fforacle.hilbert import projective_dim_hilbert, restriction_map
+from excodim.fforacle.linalg import matrix_rank
 from excodim.fforacle.points import projective_dim_points
 from excodim.fforacle.polynomials import MultiPoly
 
@@ -159,7 +160,8 @@ def test_criterion_9_restriction_exactness():
         for r in range(1, 6):
             for d in range(1, 7):
                 for b in range(0, r + 1):
-                    assert restriction_codim(r, d, b, field=field) == binomial(d + b, b)
+                    rmap = restriction_map(field, r, b, DEFAULT_SEED, 0, d)
+                    assert matrix_rank(field, rmap) == binomial(d + b, b)
     _report(9, "restriction ranks equal C(d+b, b) for r <= 5, d <= 6, b <= r over F2 and F3")
 
 

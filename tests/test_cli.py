@@ -485,7 +485,7 @@ def test_star_import_and_submodules_resolve():
         "oracle.no_such_name\n"
     )
     proc = run_fresh(["-c", code])
-    assert proc.stdout.splitlines() == ["[] 23"], proc.stderr
+    assert proc.stdout.splitlines() == ["[] 22"], proc.stderr
     assert ("AttributeError: module 'excodim.fforacle' has no attribute 'no_such_name'"
             in proc.stderr)
 

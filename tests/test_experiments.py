@@ -27,7 +27,6 @@ from excodim.fforacle.experiments import (
     poonen_combine,
     poonen_sample,
     repeated_factor_keys,
-    restriction_codim,
     singular_experiment,
 )
 from excodim.fforacle.fields import (
@@ -44,6 +43,7 @@ from excodim.fforacle.hilbert import (
     batch_projective_dim_hilbert,
     dim_at_least,
     projective_dim_hilbert,
+    restriction_map,
 )
 from excodim.fforacle.linalg import batch_rank, matrix_rank
 from excodim.fforacle.points import projective_dim_points
@@ -309,8 +309,6 @@ def test_bad_mode_seed_and_m_max_raise_before_any_work():
         with pytest.raises(ParameterError, match="seed"):
             dim_at_least([x0, x0], 1, seed=seed)
         with pytest.raises(ParameterError, match="seed"):
-            restriction_codim(3, 2, 1, seed=seed)
-        with pytest.raises(ParameterError, match="seed"):
             poonen_sample(2, 5, gf(2), seed=seed)
     # m_max is no longer a parameter: the crosscheck's probe uses PROBE_M_MAX
     for m_max in (0, 4, 9):
@@ -333,6 +331,22 @@ def test_linear_rank_dimension_matches_detector():
             not g.is_zero for g in gens
         ) else 2
         assert fast == slow
+
+
+def observe_crosscheck(monkeypatch, run_it=True):
+    """Record the block and skipped count of every ``_crosscheck`` call, and
+    run the real check unless run_it is False (it then skips nothing)."""
+    real, calls = experiments._crosscheck, []
+
+    def observed(field, r, degrees, s, rows, codes, chunks, seed):
+        call = dict(field=field, r=r, degrees=degrees, s=s, rows=rows, codes=codes,
+                    chunks=chunks, seed=seed)
+        calls.append(call)
+        call["skipped"] = real(field, r, degrees, s, rows, codes, chunks, seed) if run_it else 0
+        return call["skipped"]
+
+    monkeypatch.setattr(experiments, "_crosscheck", observed)
+    return calls
 
 
 def sing_dim(F):
@@ -410,13 +424,11 @@ def test_line_component_dominates_in_the_plane():
 def test_singular_runs_in_odd_characteristic(monkeypatch, q, hits):
     # the repeated-factor set and the Jacobian criterion hold over any finite
     # field; the spot check against the Hilbert reference passes on every form
-    real, seen = experiments._crosscheck_sample, []
-    monkeypatch.setattr(experiments, "_crosscheck_sample",
-                        lambda *a, **kw: seen.append(a) or real(*a, **kw))
+    calls = observe_crosscheck(monkeypatch)
     res = singular_experiment(2, 3, parse_field(str(q)))
     assert (res.mode, res.trials, res.hits, res.status) == ("exhaustive", q**10, hits, "ok")
     assert abs(res.est_codim - 5) < 0.35
-    assert len(seen) == experiments.VERIFY_SAMPLES
+    assert [(len(c["rows"]), c["skipped"]) for c in calls] == [(experiments.VERIFY_SAMPLES, 0)]
 
 
 def test_singular_sampled_agrees_with_exhaustive_rate():
@@ -515,10 +527,15 @@ def test_poonen_sample_wrapper():
 
 
 def test_restriction_codim_values():
-    assert restriction_codim(4, 3, 1) == 4
-    assert restriction_codim(4, 2, 2) == 6
-    assert restriction_codim(3, 5, 3) == 56
-    assert restriction_codim(3, 2, 0) == 1
+    # a b-plane imposes C(d + b, b) conditions on degree-d forms: the rank of
+    # the restriction map
+    def rank(r, d, b):
+        return matrix_rank(gf(2), restriction_map(gf(2), r, b, DEFAULT_SEED, 0, d))
+
+    assert rank(4, 3, 1) == 4
+    assert rank(4, 2, 2) == 6
+    assert rank(3, 5, 3) == 56
+    assert rank(3, 2, 0) == 1
 
 
 def test_detector_agreement_suite():
@@ -667,14 +684,16 @@ def test_plane_spot_check_over_budget_raises(monkeypatch):
 def test_plane_spot_check_picks_nonzero_members(monkeypatch, q, ell):
     # every form spaced through the set is a nonzero member: the zero form,
     # key 0, is never one of them
-    seen = []
-    monkeypatch.setattr(experiments, "_crosscheck_sample", lambda *a: seen.append(a))
+    calls = observe_crosscheck(monkeypatch, run_it=False)
     field = parse_field(str(q))
     experiments._verify_marked(field, 2, ell, repeated_factor_keys(field, 2, ell), DEFAULT_SEED)
     half = experiments.VERIFY_SAMPLES // 2
     members = set(repeated_factor_keys(field, 2, ell).tolist())
-    picks = [a[3] for a in seen[:half]]
-    assert len(seen) == experiments.VERIFY_SAMPLES and all(a[7] == IN_SET for a in seen[:half])
+    [call] = calls
+    # the block is [F | partials]; F is its first n_monomials(2, ell) columns
+    picks = list(call["rows"][:half, :n_monomials(2, ell)])
+    assert len(call["rows"]) == experiments.VERIFY_SAMPLES
+    assert all(code == IN_SET for code in call["codes"][:half])
     assert all(row.any() for row in picks)
     assert all(int(key) in members for key in _row_keys(q, np.array(picks)))
     assert len({row.tobytes() for row in picks}) == half
@@ -689,10 +708,12 @@ def test_plane_spot_check_failure_names_the_form(monkeypatch):
     with pytest.raises(InvariantError) as err:
         singular_experiment(2, 3, gf(2), mode="exhaustive")
     message = str(err.value)
-    seed, chunk, [F] = replayed_sample(message)
+    seed, chunk, [F, *partials] = replayed_sample(message)
     assert (seed, chunk) == (DEFAULT_SEED, 2**31)
     drawn = _chunk_rng(DEFAULT_SEED, 2**31).integers(0, 2, size=(half, 10), dtype=np.uint16)
     assert F.coeffs.tolist() == drawn[0].tolist()
+    # the note lists the forms the reference checked: F, then its partials
+    assert partials == [F.partial(i) for i in range(3)]
     wrong = int(re.search(r"gives dimension (-?\d+)", message).group(1))
     assert (sing_dim(F) >= 1) != (wrong >= 1)
 
@@ -707,12 +728,118 @@ def test_excess_r4_counts_crosschecks_over_budget(monkeypatch, degrees, mode, hi
                                                   skipped):
     # at r = 4 most crosscheck windows go over the matrix budget: the run
     # finishes, and the samples that fit are still checked
-    real, seen = experiments._crosscheck_sample, []
-    monkeypatch.setattr(experiments, "_crosscheck_sample",
-                        lambda *a, **kw: seen.append(a) or real(*a, **kw))
+    calls = observe_crosscheck(monkeypatch)
     trials = 300 if mode == "sampled" else None
     res = excess_experiment(4, degrees, 1, gf(2), mode=mode, trials=trials, seed=5)
-    assert (res.hits, res.crosscheck_skipped, len(seen)) == (hits, skipped, checked - skipped)
+    compared = [len(c["rows"]) - c["skipped"] for c in calls]
+    assert (res.hits, res.crosscheck_skipped, compared) == (hits, skipped, [checked - skipped])
+    assert [len(c["rows"]) for c in calls] == [checked]
+
+
+def kept_block(monkeypatch, run):
+    """The block one run hands ``_crosscheck``, as its keyword arguments."""
+    calls = observe_crosscheck(monkeypatch)
+    run()
+    [call] = calls
+    call.pop("skipped")
+    return call
+
+
+def checked_part(block, part, **changes):
+    """``_crosscheck`` on the samples of a kept block that part selects."""
+    args = {**block, **changes}
+    return experiments._crosscheck(**{
+        key: value[part] if key in ("rows", "codes", "chunks") else value
+        for key, value in args.items()})
+
+
+def test_crosscheck_in_two_halves_skips_as_one_call(monkeypatch):
+    # 3 of the 50 kept r = 4 samples fit their window: the skipped count of
+    # a kept block is the sum over its parts
+    block = kept_block(monkeypatch, lambda: excess_experiment(
+        4, (1, 2), 1, gf(2), mode="sampled", trials=300, seed=5))
+    half = len(block["rows"]) // 2
+    whole = checked_part(block, slice(None))
+    halves = [checked_part(block, slice(None, half)), checked_part(block, slice(half, None))]
+    assert (whole, sum(halves)) == (47, 47)
+    assert min(halves) > 0  # each half has samples over budget
+
+
+def test_crosscheck_failure_in_the_second_half_names_the_same_sample(monkeypatch):
+    # a decision inverted in the second half of a kept block fails the block
+    # and that half with the same message
+    monkeypatch.setattr(experiments, "CHUNK", 16)
+    block = kept_block(monkeypatch, lambda: excess_experiment(
+        2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8))
+    half, codes = len(block["rows"]) // 2, block["codes"].copy()
+    codes[half + 3] ^= 1
+    messages = []
+    for part in (slice(None), slice(half, None)):
+        with pytest.raises(InvariantError) as err:
+            checked_part(block, part, codes=codes)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert replayed_sample(messages[0])[:2] == (8, block["chunks"][half + 3])
+    assert checked_part(block, slice(None, half), codes=codes) == 0
+
+
+def test_a_single_kept_row_replays_the_run_failure(monkeypatch):
+    # chunks of 16, every 4th sample kept: row 8 of chunk 2 is kept sample
+    # 10, and its decision alone is inverted.  The run's failure names it,
+    # and that one kept row, checked alone, raises the same message
+    monkeypatch.setattr(experiments, "CHUNK", 16)
+    real, chunks = experiments.batch_dim_at_least, []
+
+    def flip_chunk2_row8(*args, **kw):
+        codes = real(*args, **kw).copy()
+        if len(chunks) == 2:
+            codes[8] ^= 1
+        chunks.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(experiments, "batch_dim_at_least", flip_chunk2_row8)
+    calls = observe_crosscheck(monkeypatch)
+    with pytest.raises(InvariantError) as err:
+        excess_experiment(2, (2, 2), 1, gf(2), mode="sampled", trials=200, seed=8)
+    message = str(err.value)
+    [block] = calls  # the check raised, so no skipped count was recorded
+    assert block["chunks"][10] == 2
+    assert block["rows"][10].tolist() == _chunk_rng(8, 2).integers(
+        0, 2, size=(16, 12), dtype=np.uint16)[8].tolist()
+    assert checked_part(block, slice(None, 10)) == 0
+    with pytest.raises(InvariantError) as alone:
+        checked_part(block, slice(10, 11))
+    assert str(alone.value) == message
+    assert replayed_sample(message)[:2] == (8, 2)
+
+
+def test_plane_spot_check_probe_names_f_and_its_partials(monkeypatch):
+    # a conclusive "positive" probe on every plane form of Hilbert dimension
+    # 0: the first drawn one fails, named as F and its partials with its
+    # seed and stream 2^31
+    real, seen = experiments.batch_projective_dim_points, []
+
+    def positive_at_dimension_0(field, r, degrees, block, m_max):
+        seen.append((list(degrees), block.shape, m_max))
+        dims = batch_projective_dim_hilbert(field, r, degrees, block)
+        return [dataclasses.replace(probe, positive_dimensional=True, conclusive=True)
+                if dim == 0 else probe
+                for probe, dim in zip(real(field, r, degrees, block, m_max), dims)]
+
+    monkeypatch.setattr(experiments, "batch_projective_dim_points", positive_at_dimension_0)
+    with pytest.raises(InvariantError) as err:
+        singular_experiment(2, 3, gf(2), mode="exhaustive")
+    message = str(err.value)
+    assert seen == [([3, 2, 2, 2], (experiments.VERIFY_SAMPLES, 28), experiments.PROBE_M_MAX)]
+    assert re.match(r"point count \(.*\) exceeds cutoff \d+ but the Hilbert detector gives "
+                    r"dimension 0; seed 271828, chunk 2147483648, generators:\n", message)
+    seed, chunk, [F, *partials] = replayed_sample(message)
+    assert (seed, chunk) == (DEFAULT_SEED, 2**31)
+    assert partials == [F.partial(i) for i in range(3)]
+    half = experiments.VERIFY_SAMPLES // 2
+    drawn = _chunk_rng(DEFAULT_SEED, 2**31).integers(0, 2, size=(half, 10), dtype=np.uint16)
+    first = next(row for row in drawn if sing_dim(MultiPoly(gf(2), 2, 3, row)) == 0)
+    assert F.coeffs.tolist() == first.tolist()
 
 
 @pytest.mark.parametrize("run, hits", [

@@ -220,6 +220,18 @@ def test_serialization_round_trip_extension_field():
     assert poly_to_line(again) == line
 
 
+@pytest.mark.parametrize("line", [
+    "2 1 2 1 : 1 0 x",  # a coefficient that is no integer
+    "a 1 2 1 : 1 0 1",  # a header that is no integer
+    "2 1 2 1 : 1 0 -1",  # codes past either end of the code range
+    "2 1 2 1 : 1 0 70000",
+    "2 1 2 -1 : ",  # a negative degree
+])
+def test_bad_polynomial_lines_raise_parameter_error(line):
+    with pytest.raises(ParameterError):
+        poly_from_line(line)
+
+
 def test_zero_polynomial_is_valid():
     f = gf(2)
     z = MultiPoly.zero(f, 3, 4)
