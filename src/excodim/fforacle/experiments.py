@@ -8,9 +8,12 @@ only on the seed and configuration.
 
 Both experiments, the excess-intersection locus and the locus of forms with
 a positive-dimensional singular locus, are this one estimator and share
-one code path.  ``_plan`` is the mode and budget policy.  A run decided by
-the section test (nonlinear excess tuples, singular forms beyond the plane)
-has its restriction maps and section pieces checked by
+one code path.  ``_plan`` is the mode and budget policy.  It checks the
+mode and trials, and the experiments the seed, before any work: a bad value,
+or trials given to exhaustive mode, raises ParameterError.  The budgets come
+next, also before any work.  A run decided by the section test (nonlinear
+excess tuples, singular forms beyond the plane) has its restriction maps,
+their index tables and section pieces checked by
 ``hilbert.section_budget`` on all its degrees, and its section field built
 by ``hilbert.section_field``, so a run over that budget, or whose section
 field is over the table budget, raises BudgetError before its first draw.
@@ -23,9 +26,10 @@ sampled run of that many draws, in auto mode too, and more than MAX_TRIALS
 raises BudgetError.  ``_plan`` also gives the walk its length, and ``_walk``
 is the chunk loop: it makes one ``decide`` call per chunk, adds the weights
 of the chunk's outcome codes (2 * certificate + decision, see ``hilbert``)
-to one int64 histogram, and keeps every few rows for the crosscheck.  The
-result keeps that histogram as ``outcomes``, and ``_result`` reads the hits,
-the tuples of the "in" codes, from it.
+to one int64 histogram, and keeps every few rows for the crosscheck.  That
+histogram is the run's result, ``ExperimentResult.outcomes``; the trials, the
+hits (the tuples of the "in" codes), ``est_codim`` and ``status`` are reads
+of it, not stored next to it.
 
 Both loci are cones: V(c_1 g_1, ..., c_k g_k) = V(g_1, ..., g_k) for nonzero
 scalars c_i, and every test below (the linear rank, the section test, the
@@ -33,11 +37,12 @@ Hilbert window and the point count) gives the same decision on each tuple
 of such an orbit.  Exhaustive mode therefore decides one tuple per orbit:
 it walks a mixed-radix index with one digit per form, the scaling class of
 that form (zero, or a vector whose top nonzero coefficient is one), and
-counts a hit with the weight (q - 1)^(nonzero forms) of its orbit.  The
+counts its code with the weight (q - 1)^(nonzero forms) of its orbit.  The
 class rows, and the digit rows and keys of coefficient vectors, come from
 ``fields``, their one owner; the points of ``points`` are the same classes.
-``trials`` still counts every tuple, q^total.  Over GF(2) every orbit is a
-single tuple and the walk is the plain base-2 enumeration.
+The weights sum to q^total, so ``trials`` still counts every tuple.  Over
+GF(2) every orbit is a single tuple and the walk is the plain base-2
+enumeration.
 
 The experiments run their chunks one after another.  A chunk's samples
 form one (n, coefficients) block, built from the class indices in
@@ -93,10 +98,6 @@ s = 1; a skipped form raises BudgetError.  A failed check raises
 ``InvariantError`` naming the decision's certificate next to the reference
 dimension, and the failing sample as ``poly_to_line`` lines (a plane form F
 and then its partials) with its seed and chunk, so it can be replayed.
-
-The mode, trials and seed are checked before any work; a bad value,
-or trials given to exhaustive mode, raises ParameterError.  The budgets of
-``_plan`` are checked next, also before any work.
 """
 
 from __future__ import annotations
@@ -138,23 +139,34 @@ PROBE_M_MAX = 2  # extension degrees the crosscheck's point probe counts over
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Outcome of one oracle run; est_codim is None when nothing hit."""
+    """One oracle run: what it knows, and every tally read from its outcomes."""
 
-    kind: str
-    q: int
-    r: int
     mode: str
-    trials: int
-    hits: int
+    q: int
     seed: int
-    est_codim: float | None
     predicted_codim: int
-    status: str
     outcomes: tuple[int, ...]  # tuples of each outcome code, indexed by code
-    degrees: tuple[int, ...] | None = None
-    ell: int | None = None
-    a: int | None = None
     crosscheck_skipped: int = 0  # crosscheck samples whose Hilbert window is over budget
+
+    @property
+    def trials(self) -> int:
+        """The draws of a sampled run, all q^total tuples of an exhaustive one."""
+        return sum(self.outcomes)
+
+    @property
+    def hits(self) -> int:
+        """The tuples of the "in" codes."""
+        return sum(self.outcomes[1::2])
+
+    @property
+    def est_codim(self) -> float | None:
+        """The negated log_q hit rate, None when nothing hit."""
+        hits = self.hits
+        return None if hits == 0 else (math.log(self.trials) - math.log(hits)) / math.log(self.q)
+
+    @property
+    def status(self) -> str:
+        return "inconclusive" if self.hits == 0 else "ok"
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -162,21 +174,14 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _plan(mode: str, trials: int | None, field: Field, dims, default: int,
-          section=None, counted: bool = False) -> tuple[str, int, int | None]:
-    """The mode, trials and walk length of a run over tuples of forms with
-    ``dims`` coefficients, after checking the given mode and trials.
-
-    An exhaustive run examines all q^total tuples and walks their
-    prod(_n_classes) scaling-class rows.  Auto mode runs exhaustive when no
-    trials are given and those rows fit MAX_EXHAUSTIVE, and an exhaustive
-    run over the cap raises BudgetError.  A ``counted`` run (the plane
-    singular run, which counts its repeated-factor set) walks nothing in
-    exhaustive mode, so no cap applies to it.  A sampled run draws
-    ``trials`` tuples, ``default`` when none are given, and more than
-    MAX_TRIALS raise BudgetError.  A run decided by the section test gives
-    its (r, degrees, s) as ``section``: ``section_budget`` refuses its maps
-    and pieces over the budget, and ``section_field`` a section field over
-    the table budget, both before anything is drawn."""
+          section=None, counted: bool = False) -> tuple[str, int | None]:
+    """The mode and walk length of a run over tuples of forms with ``dims``
+    coefficients: the scaling-class rows of an exhaustive run, the draws of
+    a sampled one (``default`` when no trials are given).  The mode, trials
+    and budgets are checked as the module docstring describes, before
+    anything is drawn.  A ``counted`` run (the plane singular run) walks
+    nothing in exhaustive mode, and a run decided by the section test gives
+    its (r, degrees, s) as ``section``."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     if trials is not None and trials < 1:
@@ -196,12 +201,11 @@ def _plan(mode: str, trials: int | None, field: Field, dims, default: int,
         section_budget(*section)
         section_field(field)
     if mode == "sampled":
-        trials = default if trials is None else trials
-        return mode, trials, trials
+        return mode, default if trials is None else trials
     if not fits:
         raise BudgetError(f"exhaustive run over {field.q}^{sum(dims)} tuples is over budget: "
                           f"it walks over {MAX_EXHAUSTIVE} scaling classes; use sampled mode")
-    return mode, field.q ** sum(dims), rows
+    return mode, rows
 
 
 def _class_block(q: int, dims, lo: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,16 +246,6 @@ def _walk(mode: str, q: int, dims, samples: int, seed: int,
         rows = block[keep]
         kept.append((rows, code[keep], np.full(len(rows), chunk)))
     return outcomes, *(np.concatenate(part) for part in zip(*kept))
-
-
-def _result(outcomes: np.ndarray, trials: int, q: int, **run) -> ExperimentResult:
-    """The result of a run from its outcome histogram: the hits are the
-    tuples of the "in" codes."""
-    hits = int(outcomes[1::2].sum())
-    est = None if hits == 0 else (math.log(trials) - math.log(hits)) / math.log(q)
-    return ExperimentResult(q=q, trials=trials, hits=hits, est_codim=est,
-                            status="inconclusive" if hits == 0 else "ok",
-                            outcomes=tuple(outcomes.tolist()), **run)
 
 
 def _rank_count(q: int, k: int, n: int, rho: int) -> int:
@@ -334,8 +328,8 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
     q = field.q
     dims = [n_monomials(r, d) for d in degrees]
     linear = all(d == 1 for d in degrees)
-    mode, trials, samples = _plan(mode, trials, field, dims, 20_000,
-                                  None if linear else (r, degrees, threshold))
+    mode, samples = _plan(mode, trials, field, dims, 20_000,
+                          None if linear else (r, degrees, threshold))
     decide = partial(batch_dim_at_least, field, r, degrees, s=threshold, seed=seed)
     outcomes, *kept = _walk(mode, q, dims, samples, seed, decide)
     if linear and mode == "exhaustive":
@@ -346,8 +340,8 @@ def excess_experiment(r: int, degrees, a: int, field: Field, mode: str = "auto",
                 f"matrices over GF({q}) have rank at most {r - threshold}"
             )
     skipped = _crosscheck(field, r, degrees, threshold, *kept, seed)
-    return _result(outcomes, trials, q, kind="excess", r=r, degrees=degrees, a=a, mode=mode,
-                   seed=seed, predicted_codim=predicted, crosscheck_skipped=skipped)
+    return ExperimentResult(mode=mode, q=q, seed=seed, predicted_codim=predicted,
+                            outcomes=tuple(outcomes.tolist()), crosscheck_skipped=skipped)
 
 
 def _singular_degrees(r: int, ell: int, skip: int) -> list[int]:
@@ -432,15 +426,15 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
     # dim Sing(F) >= 1.  Euler's relation puts F in the ideal of its partials
     # unless the characteristic divides ell; F is then left out
     skip = 1 if ell % field.p else 0
-    mode, trials, samples = _plan(mode, trials, field, [n], 1_000_000 if r == 2 else 2_000,
-                                  None if r == 2 else (r, _singular_degrees(r, ell, skip), 1),
-                                  counted=r == 2)
+    mode, samples = _plan(mode, trials, field, [n], 1_000_000 if r == 2 else 2_000,
+                          None if r == 2 else (r, _singular_degrees(r, ell, skip), 1),
+                          counted=r == 2)
 
     if r == 2:
         marked = repeated_factor_keys(field, r, ell)
         if mode == "exhaustive":  # the set is the exhaustive count
             outcomes = np.zeros(2 * len(CERTIFICATES), dtype=np.int64)
-            outcomes[[OUT_SET, IN_SET]] = trials - marked.size, marked.size
+            outcomes[[OUT_SET, IN_SET]] = q**n - marked.size, marked.size
         else:
             outcomes, *_ = _walk(mode, q, [n], samples, seed, partial(_is_marked, marked, q))
         _verify_marked(field, r, ell, marked, seed)
@@ -448,8 +442,8 @@ def singular_experiment(r: int, ell: int, field: Field, mode: str = "auto",
         outcomes, *_ = _walk(mode, q, [n], samples, seed,
                              partial(_singular_decide, field, r, ell, skip, seed))
 
-    return _result(outcomes, trials, q, kind="singular", r=r, ell=ell, mode=mode, seed=seed,
-                   predicted_codim=predicted)
+    return ExperimentResult(mode=mode, q=q, seed=seed, predicted_codim=predicted,
+                            outcomes=tuple(outcomes.tolist()))
 
 
 def _verify_marked(field: Field, r: int, ell: int, marked: np.ndarray, seed: int):

@@ -67,11 +67,12 @@ MAX_MATRIX_ENTRIES entries, puts its sample over budget:
 ``batch_projective_dim_hilbert`` gives None for it, and
 ``projective_dim_hilbert`` raises its BudgetError.  ``section_budget`` is
 the section test's budget: from r, the degrees and s alone it gives the
-section degree t, after checking every restriction map and the whole
-degree-t piece.  ``batch_dim_at_least`` calls it for each group of live
-forms before it builds any map, and the experiments call it once on all
-their degrees before they draw anything, so a run over budget stops before
-its first chunk.  The budgets are module constants read at each call.
+section degree t, after checking every restriction map, the index tables
+that build them, and the whole degree-t piece.  ``batch_dim_at_least``
+calls it for each group of live forms before it builds any map, and the
+experiments call it once on all their degrees before they draw anything, so
+a run over budget stops before its first chunk.  The budgets are module
+constants read at each call.
 
 The split size of a stack is not the budget.  One piece may hold up to
 MAX_MATRIX_ENTRIES (4M) entries before it raises BudgetError, but a stack is
@@ -365,12 +366,16 @@ def restriction_map(field: Field, r: int, b: int, seed: int, k: int, d: int) -> 
 def section_budget(r: int, degrees, s: int) -> int:
     """The degree t of the section pieces of forms of the given degrees on
     P^r, tested for dim >= s on (r - s)-planes: 1 + sum(d_i - 1) over the
-    r - s + 1 largest degrees.  Every restriction map, and the degree-t piece
+    r - s + 1 largest degrees.  Every restriction map, the index tables
+    ``substitute`` builds for them (one ``scatter_index(r, 1, t)`` per t up
+    to the largest degree, counted as one stack), and the degree-t piece
     with all the rows of every form, are checked against MAX_MATRIX_ENTRIES
     first; the first one over it raises BudgetError."""
     b = r - s
     for d in sorted(set(degrees)):
         _check_budget(d, n_monomials(r, d), n_monomials(b, d), "restriction map")
+    top = max(degrees, default=1)
+    _check_budget(top, n_monomials(r + 1, top - 1) - 1, r + 1, "substitution table stack")
     t = sum(sorted((d - 1 for d in degrees), reverse=True)[: b + 1]) + 1
     _check_budget(t, sum(n_monomials(b, t - d) for d in degrees), n_monomials(b, t))
     return t

@@ -612,6 +612,10 @@ def test_benchmark_tracer_reproduces_the_golden_report(path):
      "degree-7 restriction map needs a 6435x3432 matrix"),
     (("excess", "--r", "9", "--degrees", "6,6,6,6", "--trials", "2000"),
      "degree-21 piece needs a 3264x2024 matrix"),
+    # s = r: the sections are points, so each restriction map is one column;
+    # the index tables substitute builds on the way are what is over budget
+    (("excess", "--r", "3", "--degrees", "200", "--trials", "1"),
+     "degree-200 substitution table stack needs a 68685049x4 matrix"),
 ])
 def test_section_over_budget_exits_3_before_the_first_draw(capsys, monkeypatch, argv, message):
     from excodim.fforacle import experiments
@@ -620,7 +624,10 @@ def test_section_over_budget_exits_3_before_the_first_draw(capsys, monkeypatch, 
         raise AssertionError("a chunk was drawn")
 
     monkeypatch.setattr(experiments, "_chunk_rng", no_draw)
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "oracle", *argv)
+    # refused at once, before anything over the budget is built
+    assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (3, "", f"budget exhausted: {message}, over the budget\n")
 
 

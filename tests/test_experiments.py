@@ -18,6 +18,7 @@ from excodim.fforacle.experiments import (
     DEFAULT_SEED,
     MAX_EXHAUSTIVE,
     MAX_TRIALS,
+    ExperimentResult,
     _chunk_rng,
     _class_block,
     _plan,
@@ -266,8 +267,7 @@ def test_auto_runs_exhaustive_exactly_when_the_class_rows_fit(monkeypatch, field
                 excess_experiment(r, degrees, 1, field)
             assert caught.value.args == (("exhaustive", rows) if fits else ("sampled", 20_000))
             if fits:
-                assert _plan("exhaustive", None, field, dims, 20_000) == (
-                    "exhaustive", q ** sum(dims), rows)
+                assert _plan("exhaustive", None, field, dims, 20_000) == ("exhaustive", rows)
             else:
                 with pytest.raises(BudgetError):
                     excess_experiment(r, degrees, 1, field, mode="exhaustive")
@@ -288,8 +288,7 @@ def test_trials_over_budget_are_refused_before_the_first_draw(monkeypatch, run):
     with pytest.raises(BudgetError, match=f"cap {MAX_TRIALS}"):
         run()
     # the cap itself is a run
-    assert _plan("sampled", MAX_TRIALS, gf(2), [3, 3], 20_000) == (
-        "sampled", MAX_TRIALS, MAX_TRIALS)
+    assert _plan("sampled", MAX_TRIALS, gf(2), [3, 3], 20_000) == ("sampled", MAX_TRIALS)
 
 
 def test_bad_mode_seed_and_m_max_raise_before_any_work():
@@ -1016,23 +1015,41 @@ def test_outcome_histograms_are_pinned(run, outcomes):
     assert (res.outcomes, res.hits) == (outcomes, sum(outcomes[1::2]))
 
 
-@pytest.mark.parametrize("run", [
-    lambda: excess_experiment(2, (1, 1), 1, gf(3), mode="exhaustive"),
-    lambda: excess_experiment(2, (1, 1), 1, gf(3), mode="sampled", trials=500),
-    lambda: excess_experiment(2, (1, 2), 1, gf(2), mode="exhaustive"),
-    lambda: excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=500),
-    lambda: excess_experiment(2, (2, 2, 2), 1, gf(2), mode="sampled", trials=300),  # s = 0
-    lambda: excess_experiment(3, (1, 2), 1, gf(3), mode="sampled", trials=300),
-    lambda: singular_experiment(2, 3, gf(2), mode="exhaustive"),
-    lambda: singular_experiment(2, 3, gf(3), mode="sampled", trials=500),
-    lambda: singular_experiment(3, 3, gf(2), mode="sampled", trials=64),
+def test_tallies_are_reads_of_the_histogram():
+    run = dict(mode="sampled", q=3, seed=1, predicted_codim=2)
+    out = ExperimentResult(**run, outcomes=_histogram(OUT_COUNT=1, OUT_SECTION=80))
+    assert (out.trials, out.hits, out.est_codim, out.status) == (81, 0, None, "inconclusive")
+    # 9 of 81 tuples in, by three certificates
+    mixed = ExperimentResult(**run, outcomes=_histogram(OUT_RANK=72, IN_RANK=2, IN_COUNT=1,
+                                                        PROBABLE=6))
+    assert (mixed.trials, mixed.hits, mixed.status) == (81, 9, "ok")
+    assert mixed.est_codim == (math.log(81) - math.log(9)) / math.log(3)
+    assert mixed.est_codim == pytest.approx(2)
+    # the tallies are not fields: a result stores only what its run knows
+    with pytest.raises(TypeError):
+        ExperimentResult(**run, outcomes=mixed.outcomes, trials=81)
+    with pytest.raises(AttributeError):
+        mixed.hits = 10
+
+
+@pytest.mark.parametrize("run, trials", [
+    (lambda: excess_experiment(2, (1, 1), 1, gf(3), mode="exhaustive"), 3**6),
+    (lambda: excess_experiment(2, (1, 1), 1, gf(3), mode="sampled", trials=500), 500),
+    (lambda: excess_experiment(2, (1, 2), 1, gf(2), mode="exhaustive"), 2**9),
+    (lambda: excess_experiment(2, (1, 2), 1, gf(2), mode="sampled", trials=500), 500),
+    (lambda: excess_experiment(2, (2, 2, 2), 1, gf(2), mode="sampled", trials=300), 300),  # s = 0
+    (lambda: excess_experiment(3, (1, 2), 1, gf(3), mode="sampled", trials=300), 300),
+    (lambda: singular_experiment(2, 3, gf(2), mode="exhaustive"), 2**10),
+    (lambda: singular_experiment(2, 3, gf(3), mode="sampled", trials=500), 500),
+    (lambda: singular_experiment(3, 3, gf(2), mode="sampled", trials=64), 64),
 ], ids=["linear-exhaustive", "linear-sampled", "mixed-exhaustive",
         "mixed-sampled", "s0-sampled", "r3-sampled", "plane-exhaustive", "plane-sampled",
         "space-sampled"])
-def test_outcomes_count_every_tuple(run):
+def test_outcomes_count_every_tuple(run, trials):
+    # the orbit weights of an exhaustive walk add up to all q^total tuples,
+    # and a sampled run's codes to its draws
     res = run()
-    assert sum(res.outcomes) == res.trials
-    assert res.hits == sum(res.outcomes[1::2])
+    assert res.trials == trials
     assert len(res.outcomes) == 2 * len(hilbert.CERTIFICATES)
     assert res.outcomes[2 * hilbert.CERTIFICATES.index("probable")] == 0  # never set
 

@@ -435,6 +435,9 @@ def test_budget_error_names_the_sample(monkeypatch):
     # maps within the budget, but the degree-33 piece of eight quintics on P^7
     # holds 8 * C(35, 7) rows of C(40, 7) columns
     (8, [5] * 8, r"degree-33 piece needs a 53796160x18643560 matrix"),
+    # a point section of a line: the map is 2101 x 1, but substitute stacks
+    # one scatter_index(1, 1, t) table of t x 2 per t <= 2100
+    (1, [2100], r"degree-2100 substitution table stack needs a 2206049x2 matrix"),
 ])
 def test_section_budget_is_checked_before_any_map_is_built(monkeypatch, r, degrees, message):
     def no_map(*args):
