@@ -81,10 +81,12 @@ whose P^r(F_q) has at most ``points.MAX_POINTS`` points are checked exactly,
 off ``batch_rank``: a linear space of dimension delta has (q^(delta + 1) - 1)
 / (q - 1) points, so one ``_common_zeros`` count gives each row its dimension
 (``_linear_dims``).  Any other block takes one ``batch_projective_dim_hilbert``
-call, and the rows whose window fits one point probe over PROBE_M_MAX
-extension degrees: a conclusive positive count must be matched by a
-positive dimension.  A row whose window is over the matrix budget (from r =
-4 on most are) is skipped.
+call, whose windows stop exactly where h persists, or else on the
+finite-difference heuristic (see ``hilbert``), and the rows whose window
+fits one point probe over PROBE_M_MAX extension degrees: a conclusive
+positive count must be matched by a positive dimension.  A row whose window
+reaches a piece over the matrix budget before it stops is skipped: at r = 4,
+every sample of two quadrics, and none of a linear form and a quadric.
 Rows are compared in order, so the check is block-local: a block checked in
 parts skips as many rows and fails on the same row with the same message.
 An excess run checks the block ``_walk`` keeps, about CROSSCHECK_SAMPLES

@@ -43,12 +43,19 @@ built on first use (the map by ``polynomials.substitute``) and cached, so
 later calls with the same field, r, s and seed only read them.  A stack of
 forms is restricted by one ``rows_times`` product of its rows with the map.
 
-``projective_dim_hilbert`` gives the exact dimension from a window of h
-values in the full space: it infers the degree of the eventual Hilbert
-polynomial from finite differences and widens the window until that degree
-is stable.  The window start is a heuristic, not a regularity bound, and the
-matrices are large; it serves as the independent reference that the
-experiments cross-check the section test against, not as a per-sample test.
+``projective_dim_hilbert`` gives the dimension from a window of h values in
+the full space, from t0 = 1 + sum(d_i - 1) up.  It stops at the first t with
+h(t + 1) = h(t)^<t>, Macaulay's bound: the ideal is generated in degrees <= t,
+so by Gotzmann's persistence theorem (Math. Z. 158, 1978; Bruns-Herzog,
+Cohen-Macaulay Rings, Thm 4.3.3) h(t) and h(t + 1) fix the Hilbert
+polynomial, whose degree, the dimension, is k - t for the top term C(k, t)
+of h(t)'s t-th Macaulay representation; h(t) = 0 gives -1.  That stop is
+exact.  A window that has
+not persisted yet falls back to a heuristic: it infers the degree of the
+polynomial from finite differences and stops once r + 2 consecutive
+estimates agree.  Its matrices are large; it serves as the independent
+reference that the experiments cross-check the section test against, not as
+a per-sample test.
 
 Both tests take a batch of n samples through ``batch_dim_at_least`` and
 ``batch_projective_dim_hilbert`` as one block: an (n, sum_j C(r + d_j, r))
@@ -65,7 +72,9 @@ degrees alone and is known before any matrix is built.  A window that needs
 more than MAX_WINDOW_STEPS degrees, or a piece of more than
 MAX_MATRIX_ENTRIES entries, puts its sample over budget:
 ``batch_projective_dim_hilbert`` gives None for it, and
-``projective_dim_hilbert`` raises its BudgetError.  ``section_budget`` is
+``projective_dim_hilbert`` raises its BudgetError.  A window piece is
+checked when some row reaches it, so a window that stops first never meets
+its larger pieces.  ``section_budget`` is
 the section test's budget: from r, the degrees and s alone it gives the
 section degree t, after checking every restriction map, the index tables
 that build them, and the whole degree-t piece.  ``batch_dim_at_least``
@@ -85,6 +94,7 @@ more time.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -248,6 +258,26 @@ def _stable_dim(values: list[int], estimates: list, r: int) -> int | None:
     return None
 
 
+def _persistent_dim(h: int, h_next: int, t: int) -> int | None:
+    """The projective dimension that h = h(t) and h_next = h(t + 1) fix by
+    Gotzmann's persistence theorem, for an ideal generated in degrees <= t:
+    -1 when h = 0; k - t when h_next = h^<t>, where C(k, t) is the top term
+    of the t-th Macaulay representation of h; else None."""
+    if h == 0:
+        return -1
+    bound, rest, top = 0, h, None
+    for i in range(t, 0, -1):
+        k = i
+        while math.comb(k + 1, i) <= rest:
+            k += 1
+        top = k if top is None else top
+        bound += math.comb(k + 1, i + 1)
+        rest -= math.comb(k, i)
+        if not rest:
+            return top - t if h_next == bound else None
+    return None
+
+
 def _window_dims(field: Field, r: int, degrees,
                  block) -> tuple[list[int], dict[int, BudgetError]]:
     """Window dimensions of the rows of a block, and the BudgetError of each
@@ -255,8 +285,13 @@ def _window_dims(field: Field, r: int, degrees,
 
     Rows with the same live forms share every window degree, so each such
     group advances its windows in lockstep, with one stack of Macaulay
-    matrices per degree t; a row leaves its group once its estimate is
-    stable.
+    matrices per degree t; a row leaves its group once its dimension is
+    known.  Every window degree is at least t0 = sum(d_i - 1) + 1, which is
+    at least every degree d_i >= 1, so persistence (``_persistent_dim``)
+    applies from the second value on (a live constant makes every h zero,
+    which needs no hypothesis); the finite-difference estimate
+    (``_stable_dim``) is the fallback.  A piece over budget stops only the
+    rows that reach it.
     """
     groups = _live_groups(field, r, degrees, block)
     dims = [r] * len(block)  # no live generator: the whole space
@@ -265,15 +300,6 @@ def _window_dims(field: Field, r: int, degrees,
         if not degrees:
             continue
         t0 = sum(d - 1 for d in degrees) + 1
-        try:
-            # no estimate is stable before 2r + 3 values, so every member
-            # reaches these pieces: fail on their budget before ranking any
-            for t in range(t0, t0 + min(MAX_WINDOW_STEPS, 2 * r + 3)):
-                _check_budget(t, sum(n_monomials(r, t - d) for d in degrees),
-                              n_monomials(r, t))
-        except BudgetError as err:
-            errors.update((int(m), err) for m in members)
-            continue
         values: list[list[int]] = [[] for _ in members]
         estimates: list[list] = [[] for _ in members]
         active = np.arange(len(members))
@@ -286,8 +312,11 @@ def _window_dims(field: Field, r: int, degrees,
                 break
             still = []
             for a, rank in zip(active, ranks):
-                values[a].append(n_monomials(r, t) - int(rank))
-                dim = _stable_dim(values[a], estimates[a], r)
+                h = values[a]
+                h.append(n_monomials(r, t) - int(rank))
+                dim = None if step == 0 else _persistent_dim(h[-2], h[-1], t - 1)
+                if dim is None:
+                    dim = _stable_dim(h, estimates[a], r)
                 if dim is None:
                     still.append(a)
                 else:
@@ -316,9 +345,11 @@ def projective_dim_hilbert(generators, field: Field | None = None,
     """Projective dimension of the common vanishing locus, in {-1, 0, ..., r}.
 
     -1 encodes the empty scheme.  The window starts at
-    t0 = sum(deg g_i - 1) + 1 and widens until the inferred Hilbert
-    polynomial degree agrees across r + 2 consecutive window ends.  A window
-    over budget raises its BudgetError.
+    t0 = sum(deg g_i - 1) + 1 and widens until h persists (h(t + 1) =
+    h(t)^<t>, which fixes the dimension exactly) or, failing that, until the
+    Hilbert polynomial degree inferred from finite differences agrees across
+    r + 2 consecutive window ends.  A window over budget raises its
+    BudgetError.
     """
     dims, errors = _window_dims(*_as_block(generators, field, r))
     if errors:

@@ -720,19 +720,28 @@ def test_plane_spot_check_failure_names_the_form(monkeypatch):
 @pytest.mark.parametrize("degrees, mode, hits, checked, skipped", [
     # linear samples are checked by their exact point count, never skipped
     ((1, 1, 1), "exhaustive", 6728, 49, 0),
-    ((1, 2), "sampled", 12, 50, 47),
+    ((1, 2), "sampled", 12, 50, 0),
     ((2, 2), "sampled", 0, 50, 50),
+    ((1, 1, 2), "sampled", 27, 50, 0),
 ])
 def test_excess_r4_counts_crosschecks_over_budget(monkeypatch, degrees, mode, hits, checked,
                                                   skipped):
-    # at r = 4 most crosscheck windows go over the matrix budget: the run
-    # finishes, and the samples that fit are still checked
+    # at r = 4 the windows of a linear form and quadrics persist within the
+    # budget, but two quadrics cut a surface whose window goes over it: the
+    # run finishes, and the samples that fit are still checked
     calls = observe_crosscheck(monkeypatch)
     trials = 300 if mode == "sampled" else None
     res = excess_experiment(4, degrees, 1, gf(2), mode=mode, trials=trials, seed=5)
     compared = [len(c["rows"]) - c["skipped"] for c in calls]
     assert (res.hits, res.crosscheck_skipped, compared) == (hits, skipped, [checked - skipped])
     assert [len(c["rows"]) for c in calls] == [checked]
+
+
+def test_r3_gf3_run_is_crosschecked_in_full():
+    # three quadrics on P^3 over GF(3): every kept window persists within
+    # the budget, at its eight points or on its curve
+    res = excess_experiment(3, (2, 2, 2), 1, gf(3), trials=20000, seed=5)
+    assert (res.hits, res.crosscheck_skipped) == (139, 0)
 
 
 def kept_block(monkeypatch, run):
@@ -753,15 +762,18 @@ def checked_part(block, part, **changes):
 
 
 def test_crosscheck_in_two_halves_skips_as_one_call(monkeypatch):
-    # 3 of the 50 kept r = 4 samples fit their window: the skipped count of
-    # a kept block is the sum over its parts
+    # 2 of the 49 kept r = 4 samples, rows 18 and 44, have a zero linear
+    # form, and their two quadrics cut a surface whose window is over
+    # budget; the other 47 fit.  The skipped count of a kept block is the
+    # sum over its parts
     block = kept_block(monkeypatch, lambda: excess_experiment(
-        4, (1, 2), 1, gf(2), mode="sampled", trials=300, seed=5))
+        4, (1, 2, 2), 1, gf(2), mode="sampled", trials=2000, seed=5))
     half = len(block["rows"]) // 2
+    assert (len(block["rows"]), half) == (49, 24)
+    assert np.flatnonzero(~block["rows"][:, :5].any(axis=1)).tolist() == [18, 44]
     whole = checked_part(block, slice(None))
     halves = [checked_part(block, slice(None, half)), checked_part(block, slice(half, None))]
-    assert (whole, sum(halves)) == (47, 47)
-    assert min(halves) > 0  # each half has samples over budget
+    assert (whole, halves) == (2, [1, 1])  # each half has a sample over budget
 
 
 def test_crosscheck_failure_in_the_second_half_names_the_same_sample(monkeypatch):

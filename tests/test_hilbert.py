@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from excodim.combinatorics import binomial
 from excodim.errors import BudgetError, ParameterError
 from excodim.fforacle import hilbert
-from excodim.fforacle.experiments import singular_experiment
+from excodim.fforacle.experiments import _linear_dims, singular_experiment
 from excodim.fforacle.fields import gf
 from excodim.fforacle.hilbert import (
     batch_dim_at_least,
@@ -404,29 +404,93 @@ def test_batched_windows_split_into_small_stacks(monkeypatch):
 
 
 def test_batched_reference_gives_none_over_budget():
-    # three linear forms in P^4 need a 3003 x 1365 piece at t = 11; one
-    # linear form stays within the budget
+    # two quadrics in P^4 cut a surface whose window neither persists nor
+    # settles before its 2730 x 2380 piece at t = 13; one live quadric
+    # persists from its second value
     f = gf(2)
     x = [MultiPoly.variable(f, 4, i) for i in range(5)]
-    zero = MultiPoly.zero(f, 4, 1)
-    block = as_block([x[:3], [x[0], zero, zero], x[1:4]])
-    assert batch_projective_dim_hilbert(f, 4, [1, 1, 1], block) == [None, 3, None]
-    assert batch_projective_dim_hilbert(f, 4, [1, 1, 1], block[:0]) == []
-    with pytest.raises(BudgetError, match=r"degree-11 piece needs a 3003x1365 matrix"):
-        projective_dim_hilbert(x[:3])
+    zero = MultiPoly.zero(f, 4, 2)
+    block = as_block([[x[0] * x[1], x[2] * x[3]], [x[0] * x[1], zero], [x[0] * x[0], x[1] * x[1]]])
+    assert batch_projective_dim_hilbert(f, 4, [2, 2], block) == [None, 3, None]
+    assert batch_projective_dim_hilbert(f, 4, [2, 2], block[:0]) == []
+    with pytest.raises(BudgetError, match=r"degree-13 piece needs a 2730x2380 matrix"):
+        projective_dim_hilbert([x[0] * x[1], x[2] * x[3]])
+    # three linear forms in P^4 cut a line, fixed by h(1) = 2, h(2) = 3: no
+    # piece past t = 2 is built
+    assert projective_dim_hilbert(x[:3]) == 1
 
 
 def test_budget_error_names_the_sample(monkeypatch):
+    # one step holds one h value: no window persists or settles in it
     f = gf(2)
     line, conic = MultiPoly.variable(f, 2, 0), MultiPoly.variable(f, 2, 1).square()
-    monkeypatch.setattr(hilbert, "MAX_WINDOW_STEPS", 3)
+    monkeypatch.setattr(hilbert, "MAX_WINDOW_STEPS", 1)
     block = as_block([[conic, MultiPoly.zero(f, 2, 1)], [MultiPoly.zero(f, 2, 2), line]])
     assert batch_projective_dim_hilbert(f, 2, [2, 1], block) == [None, None]
-    with pytest.raises(BudgetError, match=r"within 3 steps \(generators of degrees \[2\]\)"):
+    with pytest.raises(BudgetError, match=r"within 1 steps \(generators of degrees \[2\]\)"):
         projective_dim_hilbert([conic])
     with pytest.raises(BudgetError, match=r"degrees \[1\]"):
         projective_dim_hilbert([line])
     assert batch_dim_at_least(f, 2, [2, 1], block[:0], 1).tolist() == []
+
+
+def test_persistence_decides_within_three_steps(monkeypatch):
+    # a double line and a line persist at their second value, where the
+    # finite-difference estimate needs 2r + 3 = 7
+    f = gf(2)
+    line, conic = MultiPoly.variable(f, 2, 0), MultiPoly.variable(f, 2, 1).square()
+    monkeypatch.setattr(hilbert, "MAX_WINDOW_STEPS", 3)
+    block = as_block([[conic, MultiPoly.zero(f, 2, 1)], [MultiPoly.zero(f, 2, 2), line]])
+    assert batch_projective_dim_hilbert(f, 2, [2, 1], block) == [1, 1]
+    assert projective_dim_hilbert([conic]) == projective_dim_hilbert([line]) == 1
+
+
+@pytest.mark.parametrize("h, h_next, t, dim", [
+    (4, 5, 3, 1),  # 4 = C(4, 3), and 4^<3> = C(5, 4) = 5
+    (4, 4, 3, None),
+    (4, 4, 4, 0),  # 4 = C(4, 4) + C(3, 3) + C(2, 2) + C(1, 1)
+    (5, 7, 2, 1),  # 5 = C(3, 2) + C(2, 1), and 5^<2> = C(4, 3) + C(3, 2) = 7
+    (5, 6, 2, None),
+    (1, 1, 6, 0),  # one point
+    (3, 6, 1, 2),  # all of P^2
+    (0, 0, 3, -1),
+    (0, 9, 3, -1),  # h = 0 stays 0 whatever the generators
+])
+def test_persistent_dim_reads_the_macaulay_representation(h, h_next, t, dim):
+    assert hilbert._persistent_dim(h, h_next, t) == dim
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1)])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_linear_windows_match_the_point_count(spec, r):
+    # a linear space of dimension delta has h(t) = C(t + delta, delta), so
+    # its window persists at its second value; the point count is exact
+    field = gf(*spec)
+    rng = np.random.default_rng([field.q, r])
+    for k in range(1, r + 2):
+        # sparse draws give dependent forms, and zero forms
+        block = rng.integers(0, field.q, size=(40, k * (r + 1)), dtype=np.uint16)
+        block[rng.random(block.shape) < 0.5] = 0
+        dims = batch_projective_dim_hilbert(field, r, [1] * k, block)
+        assert dims == _linear_dims(field, r, block)
+
+
+@pytest.mark.parametrize("spec, r, degrees", [
+    ((2, 1), 2, (2, 2)), ((3, 1), 2, (2, 3)), ((2, 2), 2, (1, 2, 2)),
+    ((2, 1), 3, (2, 2, 2)), ((3, 1), 3, (1, 2, 2)), ((2, 1), 3, (2, 3)),
+])
+def test_persistence_agrees_with_the_heuristic_window(monkeypatch, spec, r, degrees):
+    # every dimension persistence fixes is the one the finite-difference
+    # window alone reaches; sparse rows give lines, planes and empty loci
+    field = gf(*spec)
+    rng = np.random.default_rng([field.q, r, *degrees])
+    block = rng.integers(0, field.q, size=(30, sum(n_monomials(r, d) for d in degrees)),
+                         dtype=np.uint16)
+    block[:15][rng.random((15, block.shape[1])) < 0.6] = 0
+    dims = batch_projective_dim_hilbert(field, r, degrees, block)
+    monkeypatch.setattr(hilbert, "_persistent_dim", lambda h, h_next, t: None)
+    assert batch_projective_dim_hilbert(field, r, degrees, block) == dims
+    assert None not in dims and len(set(dims)) > 1
 
 
 @pytest.mark.parametrize("r, degrees, message", [
