@@ -50,12 +50,12 @@ so by Gotzmann's persistence theorem (Math. Z. 158, 1978; Bruns-Herzog,
 Cohen-Macaulay Rings, Thm 4.3.3) h(t) and h(t + 1) fix the Hilbert
 polynomial, whose degree, the dimension, is k - t for the top term C(k, t)
 of h(t)'s t-th Macaulay representation; h(t) = 0 gives -1.  That stop is
-exact.  A window that has
-not persisted yet falls back to a heuristic: it infers the degree of the
-polynomial from finite differences and stops once r + 2 consecutive
-estimates agree.  Its matrices are large; it serves as the independent
-reference that the experiments cross-check the section test against, not as
-a per-sample test.
+exact.  A window that has not persisted yet falls back to a heuristic: it
+stops once its last 2r + 3 values fit a polynomial of degree delta <= r, and
+gives delta.  Both rules read only the window's h values, so a row's
+verdict is a function of the numbers it computed.  Its matrices are large;
+it serves as the independent reference that the experiments cross-check the
+section test against, not as a per-sample test.
 
 Both tests take a batch of n samples through ``batch_dim_at_least`` and
 ``batch_projective_dim_hilbert`` as one block: an (n, sum_j C(r + d_j, r))
@@ -242,20 +242,15 @@ def _tail_degree(values) -> int | None:
         level += 1
 
 
-def _stable_dim(values: list[int], estimates: list, r: int) -> int | None:
-    """Record the estimate of the newest window of h values; the dimension
-    once the last r + 2 estimates agree, else None."""
-    window = r + 2
-    if len(values) < window:
+def _stable_dim(values: list[int], r: int) -> int | None:
+    """The degree delta <= r of the polynomial that the last 2r + 3 h values
+    fit, else None.  That is r + 2 consecutive windows of r + 2 values each
+    fitting degree delta: windows of at least delta + 2 values overlap in
+    delta + 1, which fix the polynomial."""
+    if len(values) < 2 * r + 3:
         return None
-    est = _tail_degree(values[-window:])
-    if est is not None and est > r:
-        est = None  # projective dimension cannot exceed r: keep widening
-    estimates.append(est)
-    tail = estimates[-window:]
-    if len(tail) == window and tail[0] is not None and all(e == tail[0] for e in tail):
-        return tail[0]
-    return None
+    est = _tail_degree(values[-(2 * r + 3):])
+    return est if est is not None and est <= r else None
 
 
 def _persistent_dim(h: int, h_next: int, t: int) -> int | None:
@@ -273,9 +268,8 @@ def _persistent_dim(h: int, h_next: int, t: int) -> int | None:
         top = k if top is None else top
         bound += math.comb(k + 1, i + 1)
         rest -= math.comb(k, i)
-        if not rest:
+        if not rest:  # by i = 1 at the latest, where k = rest
             return top - t if h_next == bound else None
-    return None
 
 
 def _window_dims(field: Field, r: int, degrees,
@@ -289,9 +283,9 @@ def _window_dims(field: Field, r: int, degrees,
     known.  Every window degree is at least t0 = sum(d_i - 1) + 1, which is
     at least every degree d_i >= 1, so persistence (``_persistent_dim``)
     applies from the second value on (a live constant makes every h zero,
-    which needs no hypothesis); the finite-difference estimate
-    (``_stable_dim``) is the fallback.  A piece over budget stops only the
-    rows that reach it.
+    which needs no hypothesis); the degree that the last 2r + 3 values fit
+    (``_stable_dim``) is the fallback.  Both read only the row's h values.
+    A piece over budget stops only the rows that reach it.
     """
     groups = _live_groups(field, r, degrees, block)
     dims = [r] * len(block)  # no live generator: the whole space
@@ -301,7 +295,6 @@ def _window_dims(field: Field, r: int, degrees,
             continue
         t0 = sum(d - 1 for d in degrees) + 1
         values: list[list[int]] = [[] for _ in members]
-        estimates: list[list] = [[] for _ in members]
         active = np.arange(len(members))
         for step in range(MAX_WINDOW_STEPS):
             t = t0 + step
@@ -316,7 +309,7 @@ def _window_dims(field: Field, r: int, degrees,
                 h.append(n_monomials(r, t) - int(rank))
                 dim = None if step == 0 else _persistent_dim(h[-2], h[-1], t - 1)
                 if dim is None:
-                    dim = _stable_dim(h, estimates[a], r)
+                    dim = _stable_dim(h, r)
                 if dim is None:
                     still.append(a)
                 else:
@@ -346,10 +339,9 @@ def projective_dim_hilbert(generators, field: Field | None = None,
 
     -1 encodes the empty scheme.  The window starts at
     t0 = sum(deg g_i - 1) + 1 and widens until h persists (h(t + 1) =
-    h(t)^<t>, which fixes the dimension exactly) or, failing that, until the
-    Hilbert polynomial degree inferred from finite differences agrees across
-    r + 2 consecutive window ends.  A window over budget raises its
-    BudgetError.
+    h(t)^<t>, which fixes the dimension exactly) or, failing that, until its
+    last 2r + 3 values fit a polynomial of degree at most r, whose degree it
+    gives.  A window over budget raises its BudgetError.
     """
     dims, errors = _window_dims(*_as_block(generators, field, r))
     if errors:

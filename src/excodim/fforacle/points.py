@@ -19,8 +19,10 @@ coefficient row, embedded in the extension, times that table, so
 one ``rows_times`` per form and extension.  The rows are split so that no
 intermediate array holds more than ``hilbert.STACK_ENTRIES`` entries, or one
 row when a single row's product is larger.  A sample leaves the block at the
-first extension whose count exceeds its cutoff.  ``projective_dim_points``
-runs its list of forms as a block of one.
+first extension whose count exceeds its cutoff, so its verdict is read once,
+after the last extension, from its own counts: positive exactly when its
+last count exceeds the cutoff.  ``projective_dim_points`` runs its list of
+forms as a block of one.
 """
 
 from __future__ import annotations
@@ -97,9 +99,8 @@ def batch_projective_dim_points(field: Field, r: int, degrees, block,
         raise ParameterError(f"need 1 <= m_max <= 3, got {m_max}")
     stacks, live = hilbert._form_stacks(field, r, degrees, block)
     cutoffs = [prod(d for d, on in zip(degrees, row) if on) for row in live.tolist()]
-    probes: list[PointProbe | None] = [
-        None if row.any() else PointProbe(r >= 1, True, 1, ()) for row in live]
-    counts: list[list] = [[] for _ in probes]
+    limits = np.array(cutoffs)  # object dtype past int64
+    counts: list[list] = [[] for _ in cutoffs]
     active = np.flatnonzero(live.any(axis=1))
     for m in range(1, m_max + 1):
         q_m = field.q**m
@@ -110,18 +111,16 @@ def batch_projective_dim_points(field: Field, r: int, degrees, block,
         except BudgetError:
             break
         zeros = _common_zeros(ext, emb, r, degrees, [c[active] for c in stacks])
-        still = []
         for i, count in zip(active.tolist(), zeros.tolist()):
             counts[i].append((m, q_m, count))
-            if count > cutoffs[i]:
-                probes[i] = PointProbe(True, True, cutoffs[i], tuple(counts[i]))
-            else:
-                still.append(i)
-        active = np.array(still, dtype=np.intp)
-    for i in active.tolist():
-        if counts[i]:
-            probes[i] = PointProbe(False, False, cutoffs[i], tuple(counts[i]))
-    return probes
+        active = active[zeros <= limits[active]]
+    # a row leaves at its first count above its cutoff, so it is positive
+    # exactly when its last count is
+    positive = [bool(c) and c[-1][2] > cutoff for cutoff, c in zip(cutoffs, counts)]
+    return [PointProbe(r >= 1, True, cutoff, ()) if not on  # the whole space
+            else PointProbe(p, p, cutoff, tuple(c)) if c
+            else None  # no extension fits the point budget
+            for on, p, cutoff, c in zip(live.any(axis=1).tolist(), positive, cutoffs, counts)]
 
 
 def projective_dim_points(generators, field: Field | None = None, r: int | None = None,

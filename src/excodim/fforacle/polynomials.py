@@ -168,10 +168,16 @@ class MultiPoly:
 
     @classmethod
     def from_terms(cls, field: Field, r: int, d: int, terms: dict) -> "MultiPoly":
-        coeffs = np.zeros(n_monomials(r, d), dtype=np.uint16)
+        """The form with the code of each {exponent: code} term; an exponent
+        that is not a degree-d monomial on P^r, or a code out of range,
+        raises ParameterError."""
         index = monomial_index(r, d)
+        coeffs = [0] * len(index)
         for exp, code in terms.items():
-            coeffs[index[tuple(exp)]] = code
+            i = index.get(tuple(exp))
+            if i is None:
+                raise ParameterError(f"{tuple(exp)} is not a degree-{d} exponent on P^{r}")
+            coeffs[i] = code
         return cls(field, r, d, coeffs)
 
     @classmethod

@@ -478,6 +478,10 @@ def test_linear_windows_match_the_point_count(spec, r):
 @pytest.mark.parametrize("spec, r, degrees", [
     ((2, 1), 2, (2, 2)), ((3, 1), 2, (2, 3)), ((2, 2), 2, (1, 2, 2)),
     ((2, 1), 3, (2, 2, 2)), ((3, 1), 3, (1, 2, 2)), ((2, 1), 3, (2, 3)),
+    # two cubics on P^3 persist only at t = 27, the Gotzmann number of
+    # 9t - 9, past the degree-20 piece the budget refuses: on the dense rows
+    # the fallback decides
+    ((2, 1), 3, (3, 3)),
 ])
 def test_persistence_agrees_with_the_heuristic_window(monkeypatch, spec, r, degrees):
     # every dimension persistence fixes is the one the finite-difference
@@ -491,6 +495,25 @@ def test_persistence_agrees_with_the_heuristic_window(monkeypatch, spec, r, degr
     monkeypatch.setattr(hilbert, "_persistent_dim", lambda h, h_next, t: None)
     assert batch_projective_dim_hilbert(field, r, degrees, block) == dims
     assert None not in dims and len(set(dims)) > 1
+    if degrees == (3, 3):
+        # the last 2r + 3 values against r + 2 agreeing windows of r + 2: the
+        # stateful reference ranks one piece per h value, so equal degrees of
+        # the pieces ranked mean every window stops on the same step
+        ends = np.cumsum([n_monomials(r, d) for d in degrees])[:-1]
+        samples = [[MultiPoly(field, r, d, c) for d, c in zip(degrees, np.split(row, ends))]
+                   for row in block]
+        ranked: list[int] = []
+        piece_ranks = hilbert._piece_ranks
+
+        def counted(f, n, t, d, coeffs):
+            ranked.extend([t] * len(coeffs[0]))
+            return piece_ranks(f, n, t, d, coeffs)
+
+        monkeypatch.setattr(hilbert, "_piece_ranks", counted)
+        assert batch_projective_dim_hilbert(field, r, degrees, block) == dims
+        batched, ranked[:] = sorted(ranked), []
+        assert [window_dim(g, field, r) for g in samples] == dims
+        assert sorted(ranked) == batched
 
 
 @pytest.mark.parametrize("r, degrees, message", [

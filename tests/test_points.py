@@ -200,3 +200,24 @@ def test_batched_probe_budget_and_m_max(monkeypatch):
     # no extension fits: every row with a nonzero form gets None
     assert batch_projective_dim_points(field, 5, [1], block) == [
         None, PointProbe(True, True, 1, ()), None]
+
+
+def test_mixed_probe_block_is_pinned_by_value():
+    # conics on P^2 over GF(2), counted over GF(2) and GF(4): each row's
+    # verdict is read from its own counts, and this block pins those values
+    f = gf(2)
+    x = [MultiPoly.variable(f, 2, i) for i in range(3)]
+    zero = MultiPoly.zero(f, 2, 2)
+    rows = [
+        [x[0] * x[1], zero],  # two rational lines: 5 points, above the cutoff at m = 1
+        [x[0] * x[0] + x[0] * x[1] + x[1] * x[1], zero],  # two lines conjugate over GF(4)
+        [x[0] * x[1], (x[0] + x[1] + x[2]) * (x[0] + x[1] + x[2])],  # two points
+        [zero, zero],
+    ]
+    block = np.array([np.concatenate([g.coeffs for g in row]) for row in rows], dtype=np.uint16)
+    assert batch_projective_dim_points(f, 2, [2, 2], block, 2) == [
+        PointProbe(True, True, 2, ((1, 2, 5),)),
+        PointProbe(True, True, 2, ((1, 2, 1), (2, 4, 9))),
+        PointProbe(False, False, 4, ((1, 2, 2), (2, 4, 2))),
+        PointProbe(True, True, 1, ()),
+    ]

@@ -41,6 +41,10 @@ def test_multipoly_construction_checks():
         MultiPoly(f, 2, 2, [0, 0, 0])  # wrong length
     with pytest.raises(ParameterError):
         MultiPoly(f, 1, 1, [2, 0])  # code out of range
+    # an exponent of the wrong length, degree or sign, and a negative code
+    for terms in ({(1, 1): 1}, {(1, 1, 1): 1}, {(1, 2, -1): 1}, {(2, 0, 0): -1}):
+        with pytest.raises(ParameterError):
+            MultiPoly.from_terms(f, 2, 2, terms)
     cubic = MultiPoly.random(f, 2, 3, np.random.default_rng(0))
     for i in (-1, 3):
         with pytest.raises(ParameterError, match="out of range"):
