@@ -81,12 +81,14 @@ whose P^r(F_q) has at most ``points.MAX_POINTS`` points are checked exactly,
 off ``batch_rank``: a linear space of dimension delta has (q^(delta + 1) - 1)
 / (q - 1) points, so one ``_common_zeros`` count gives each row its dimension
 (``_linear_dims``).  Any other block takes one ``batch_projective_dim_hilbert``
-call, whose windows stop exactly where h persists, or else on the
-finite-difference heuristic (see ``hilbert``), and the rows whose window
-fits one point probe over PROBE_M_MAX extension degrees: a conclusive
-positive count must be matched by a positive dimension.  A row whose window
-reaches a piece over the matrix budget before it stops is skipped: at r = 4,
-every sample of two quadrics, and none of a linear form and a quadric.
+call, whose windows stop only on exact rules, where h persists or on two
+coprime forms (see ``hilbert``), and the rows whose window fits one point
+probe over PROBE_M_MAX extension degrees: a conclusive positive count must
+be matched by a positive dimension.  A row whose window reaches a piece over
+the matrix budget before it stops, or whose flat window could persist only
+there, is skipped: at r = 4, every sample of three quadrics, and none of two
+quadrics or of a linear form and a quadric; at r = 3, most samples of a
+quadric and two cubics, finite schemes of degree 18.
 Rows are compared in order, so the check is block-local: a block checked in
 parts skips as many rows and fails on the same row with the same message.
 An excess run checks the block ``_walk`` keeps, about CROSSCHECK_SAMPLES

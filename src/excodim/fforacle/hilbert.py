@@ -49,13 +49,16 @@ h(t + 1) = h(t)^<t>, Macaulay's bound: the ideal is generated in degrees <= t,
 so by Gotzmann's persistence theorem (Math. Z. 158, 1978; Bruns-Herzog,
 Cohen-Macaulay Rings, Thm 4.3.3) h(t) and h(t + 1) fix the Hilbert
 polynomial, whose degree, the dimension, is k - t for the top term C(k, t)
-of h(t)'s t-th Macaulay representation; h(t) = 0 gives -1.  That stop is
-exact.  A window that has not persisted yet falls back to a heuristic: it
-stops once its last 2r + 3 values fit a polynomial of degree delta <= r, and
-gives delta.  Both rules read only the window's h values, so a row's
-verdict is a function of the numbers it computed.  Its matrices are large;
-it serves as the independent reference that the experiments cross-check the
-section test against, not as a per-sample test.
+of h(t)'s t-th Macaulay representation; h(t) = 0 gives -1.  Two forms of
+positive degree stop sooner, at t0 itself, when their degree-t0 rows are
+independent: they are then coprime, a regular sequence (Bruns-Herzog,
+Cohen-Macaulay Rings), whose locus has dimension r - 2.  Both stops are
+exact, and there is no other: a window that reaches neither within its
+budget is refused.  A flat window, h(t - 1) = h(t) = c > t, can persist
+only from its degree-(c + 1) piece on, so it is refused as soon as that
+piece is over the budget.  Its matrices are large; it serves as the
+independent reference that the experiments cross-check the section test
+against, not as a per-sample test.
 
 Both tests take a batch of n samples through ``batch_dim_at_least`` and
 ``batch_projective_dim_hilbert`` as one block: an (n, sum_j C(r + d_j, r))
@@ -146,6 +149,12 @@ def _check_budget(t: int, nrows: int, ncols: int, what: str = "piece"):
         )
 
 
+def _piece_shape(r: int, t: int, degrees) -> tuple[int, int]:
+    """Rows and columns of the degree-t Macaulay matrix of forms of the given
+    degrees on P^r."""
+    return sum(n_monomials(r, t - d) for d in degrees), n_monomials(r, t)
+
+
 def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs) -> np.ndarray:
     """Ranks of the degree-t ideal pieces of a nonempty batch of generator
     tuples of degrees at most t (coefficient stacks as in
@@ -153,7 +162,7 @@ def _piece_ranks(field: Field, r: int, t: int, degrees, coeffs) -> np.ndarray:
     min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) entries.  A piece costs every row
     its stack holds, which the degrees alone fix: a piece over the budget
     raises BudgetError before any stack is built."""
-    nrows, ncols = sum(n_monomials(r, t - d) for d in degrees), n_monomials(r, t)
+    nrows, ncols = _piece_shape(r, t, degrees)
     _check_budget(t, nrows, ncols)
     per = max(1, min(STACK_ENTRIES, MAX_MATRIX_ENTRIES) // max(nrows * ncols, 1))
     parts = ([c[lo:lo + per] for c in coeffs] for lo in range(0, len(coeffs[0]), per))
@@ -183,7 +192,9 @@ def check_seed(seed: int):
 
 def _checked_block(field: Field, r: int, degrees, block) -> np.ndarray:
     """A block of forms of the given degrees as uint16 codes, after checking
-    its shape and its codes."""
+    its degrees, its shape and its codes."""
+    if min(degrees, default=0) < 0:
+        raise ParameterError(f"need degrees >= 0, got {list(degrees)}")
     width = sum(n_monomials(r, d) for d in degrees)
     block = np.asarray(block)
     if block.ndim != 2 or block.shape[1] != width:
@@ -228,31 +239,6 @@ def _as_block(generators, field, r):
     return field, r, [g.d for g in gens], row[None]
 
 
-def _tail_degree(values) -> int | None:
-    """Degree of the polynomial interpolating the window, or None when the
-    differences do not vanish within the window (not yet polynomial)."""
-    cur = list(values)
-    level = 0
-    while True:
-        if all(v == 0 for v in cur):
-            return level - 1
-        if len(cur) < 2:
-            return None
-        cur = [b - a for a, b in zip(cur, cur[1:])]
-        level += 1
-
-
-def _stable_dim(values: list[int], r: int) -> int | None:
-    """The degree delta <= r of the polynomial that the last 2r + 3 h values
-    fit, else None.  That is r + 2 consecutive windows of r + 2 values each
-    fitting degree delta: windows of at least delta + 2 values overlap in
-    delta + 1, which fix the polynomial."""
-    if len(values) < 2 * r + 3:
-        return None
-    est = _tail_degree(values[-(2 * r + 3):])
-    return est if est is not None and est <= r else None
-
-
 def _persistent_dim(h: int, h_next: int, t: int) -> int | None:
     """The projective dimension that h = h(t) and h_next = h(t + 1) fix by
     Gotzmann's persistence theorem, for an ideal generated in degrees <= t:
@@ -272,6 +258,17 @@ def _persistent_dim(h: int, h_next: int, t: int) -> int | None:
             return top - t if h_next == bound else None
 
 
+def _check_window(r: int, degrees, t0: int, t: int):
+    """Raise the BudgetError of the degree-t piece of a window that starts at
+    t0: past MAX_WINDOW_STEPS, or over MAX_MATRIX_ENTRIES."""
+    if t - t0 >= MAX_WINDOW_STEPS:
+        raise BudgetError(
+            f"Hilbert dimension did not stabilize within {MAX_WINDOW_STEPS} steps "
+            f"(generators of degrees {list(degrees)})"
+        )
+    _check_budget(t, *_piece_shape(r, t, degrees))
+
+
 def _window_dims(field: Field, r: int, degrees,
                  block) -> tuple[list[int], dict[int, BudgetError]]:
     """Window dimensions of the rows of a block, and the BudgetError of each
@@ -283,9 +280,16 @@ def _window_dims(field: Field, r: int, degrees,
     known.  Every window degree is at least t0 = sum(d_i - 1) + 1, which is
     at least every degree d_i >= 1, so persistence (``_persistent_dim``)
     applies from the second value on (a live constant makes every h zero,
-    which needs no hypothesis); the degree that the last 2r + 3 values fit
-    (``_stable_dim``) is the fallback.  Both read only the row's h values.
-    A piece over budget stops only the rows that reach it.
+    which needs no hypothesis).  Two forms of positive degree whose degree-t0
+    rows are independent stop at t0, with dimension r - 2: a common factor
+    of degree e >= 1 gives a syzygy of degree d_1 + d_2 - e <= t0, and
+    coprime forms, a regular sequence, have only the Koszul syzygy, of
+    degree d_1 + d_2.  A flat window, h(t - 1) = h(t) = c > t, that stays
+    flat persists only on its degree-(c + 1) piece or later (c^<t> = c needs
+    c <= t), as a finite scheme of degree c does: when that piece is over a
+    budget, the row gets its BudgetError at once.  That can cost a row that
+    is not finite its check, never its dimension.  A piece over budget stops
+    only the rows that reach it.
     """
     groups = _live_groups(field, r, degrees, block)
     dims = [r] * len(block)  # no live generator: the whole space
@@ -294,35 +298,34 @@ def _window_dims(field: Field, r: int, degrees,
         if not degrees:
             continue
         t0 = sum(d - 1 for d in degrees) + 1
-        values: list[list[int]] = [[] for _ in members]
-        active = np.arange(len(members))
-        for step in range(MAX_WINDOW_STEPS):
-            t = t0 + step
+        coprime = (_piece_shape(r, t0, degrees)[0]
+                   if len(degrees) == 2 and min(degrees) >= 1 else None)
+        last: list[int | None] = [None] * len(members)  # each row's h(t - 1)
+        active, t = np.arange(len(members)), t0
+        while active.size:
             try:
+                _check_window(r, degrees, t0, t)
                 ranks = _piece_ranks(field, r, t, degrees, [c[active] for c in coeffs])
             except BudgetError as err:
                 errors.update((int(members[a]), err) for a in active)
                 break
             still = []
-            for a, rank in zip(active, ranks):
-                h = values[a]
-                h.append(n_monomials(r, t) - int(rank))
-                dim = None if step == 0 else _persistent_dim(h[-2], h[-1], t - 1)
-                if dim is None:
-                    dim = _stable_dim(h, r)
-                if dim is None:
-                    still.append(a)
-                else:
+            for a, rank in zip(active, ranks.tolist()):
+                h, prev = n_monomials(r, t) - rank, last[a]
+                dim = (r - 2 if rank == coprime and t == t0 else
+                       None if prev is None else _persistent_dim(prev, h, t - 1))
+                if dim is not None:
                     dims[members[a]] = dim
-            active = np.array(still, dtype=np.intp)
-            if not still:
-                break
-        else:
-            err = BudgetError(
-                f"Hilbert dimension did not stabilize within {MAX_WINDOW_STEPS} steps "
-                f"(generators of degrees {list(degrees)})"
-            )
-            errors.update((int(members[a]), err) for a in active)
+                    continue
+                if prev == h > t:
+                    try:
+                        _check_window(r, degrees, t0, h + 1)
+                    except BudgetError as err:
+                        errors[int(members[a])] = err
+                        continue
+                last[a] = h
+                still.append(a)
+            active, t = np.array(still, dtype=np.intp), t + 1
     return dims, errors
 
 
@@ -339,9 +342,10 @@ def projective_dim_hilbert(generators, field: Field | None = None,
 
     -1 encodes the empty scheme.  The window starts at
     t0 = sum(deg g_i - 1) + 1 and widens until h persists (h(t + 1) =
-    h(t)^<t>, which fixes the dimension exactly) or, failing that, until its
-    last 2r + 3 values fit a polynomial of degree at most r, whose degree it
-    gives.  A window over budget raises its BudgetError.
+    h(t)^<t>, which fixes the dimension exactly); two coprime forms of
+    positive degree, whose degree-t0 rows are independent, stop at t0 with
+    dimension r - 2.  A window over budget, or a flat one whose earliest
+    persistence is, raises its BudgetError.
     """
     dims, errors = _window_dims(*_as_block(generators, field, r))
     if errors:

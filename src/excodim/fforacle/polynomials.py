@@ -145,20 +145,22 @@ class MultiPoly:
         if r < 0 or d < 0:
             raise ParameterError(f"need r >= 0 and d >= 0, got r={r}, d={d}")
         try:
-            coeffs = np.asarray(coeffs, dtype=np.uint16)
-        except (OverflowError, TypeError, ValueError):
+            coeffs = np.asarray(coeffs)
+        except ValueError:
             raise ParameterError("coefficient codes must be integers in range") from None
         if coeffs.shape != (n_monomials(r, d),):
             raise ParameterError(
                 f"coefficient vector must have length {n_monomials(r, d)} "
                 f"for r={r}, d={d}, got {coeffs.shape}"
             )
-        if coeffs.size and int(coeffs.max()) >= field.q:
+        if coeffs.dtype.kind not in "iu":  # no float, string or object codes
+            raise ParameterError("coefficient codes must be integers in range")
+        if coeffs.min() < 0 or coeffs.max() >= field.q:
             raise ParameterError("coefficient code out of range")
         self.field = field
         self.r = r
         self.d = d
-        self.coeffs = coeffs
+        self.coeffs = coeffs.astype(np.uint16, copy=False)
 
     # -- constructors ---------------------------------------------------------
 

@@ -307,9 +307,9 @@ def test_config_echoes_the_arguments_in_declaration_order(capsys, argv, config):
 
 def test_r4_excess_warns_of_unchecked_samples(capsys):
     # the windows of a linear form and a quadric on P^4 persist within the
-    # budget; those of two quadrics, a surface, go over it
+    # budget; those of three quadrics, a curve, go over it
     warnings = []
-    for degrees in ("1,2", "2,2"):
+    for degrees in ("1,2", "2,2,2"):
         code, out, _ = run_cli(capsys, "oracle", "excess", "--r", "4", "--degrees", degrees,
                                "--a", "1", "--trials", "300", "--seed", "5", "--format", "json")
         assert code == 0

@@ -721,14 +721,15 @@ def test_plane_spot_check_failure_names_the_form(monkeypatch):
     # linear samples are checked by their exact point count, never skipped
     ((1, 1, 1), "exhaustive", 6728, 49, 0),
     ((1, 2), "sampled", 12, 50, 0),
-    ((2, 2), "sampled", 0, 50, 50),
+    # two quadrics with independent degree-3 rows are coprime: their window
+    # stops at its first piece, a surface, where it used to go over budget
+    ((2, 2), "sampled", 0, 50, 0),
     ((1, 1, 2), "sampled", 27, 50, 0),
 ])
 def test_excess_r4_counts_crosschecks_over_budget(monkeypatch, degrees, mode, hits, checked,
                                                   skipped):
-    # at r = 4 the windows of a linear form and quadrics persist within the
-    # budget, but two quadrics cut a surface whose window goes over it: the
-    # run finishes, and the samples that fit are still checked
+    # at r = 4 the windows of a linear form and quadrics stop within the
+    # budget: the run finishes, and every sample that fits is checked
     calls = observe_crosscheck(monkeypatch)
     trials = 300 if mode == "sampled" else None
     res = excess_experiment(4, degrees, 1, gf(2), mode=mode, trials=trials, seed=5)
@@ -762,18 +763,19 @@ def checked_part(block, part, **changes):
 
 
 def test_crosscheck_in_two_halves_skips_as_one_call(monkeypatch):
-    # 2 of the 49 kept r = 4 samples, rows 18 and 44, have a zero linear
-    # form, and their two quadrics cut a surface whose window is over
-    # budget; the other 47 fit.  The skipped count of a kept block is the
-    # sum over its parts
+    # a quadric and two cubics on P^3 mostly meet in 18 points, whose flat
+    # window would persist only on its degree-19 piece, over the budget: 48
+    # of the 49 kept samples are skipped, and row 15, a curve, is checked.
+    # The skipped count of a kept block is the sum over its parts
     block = kept_block(monkeypatch, lambda: excess_experiment(
-        4, (1, 2, 2), 1, gf(2), mode="sampled", trials=2000, seed=5))
+        3, (2, 3, 3), 1, gf(2), mode="sampled", trials=2000, seed=5))
     half = len(block["rows"]) // 2
     assert (len(block["rows"]), half) == (49, 24)
-    assert np.flatnonzero(~block["rows"][:, :5].any(axis=1)).tolist() == [18, 44]
+    dims = batch_projective_dim_hilbert(gf(2), 3, [2, 3, 3], block["rows"])
+    assert [i for i, dim in enumerate(dims) if dim is not None] == [15]
     whole = checked_part(block, slice(None))
     halves = [checked_part(block, slice(None, half)), checked_part(block, slice(half, None))]
-    assert (whole, halves) == (2, [1, 1])  # each half has a sample over budget
+    assert (whole, halves) == (48, [23, 25])
 
 
 def test_crosscheck_failure_in_the_second_half_names_the_same_sample(monkeypatch):

@@ -404,17 +404,20 @@ def test_batched_windows_split_into_small_stacks(monkeypatch):
 
 
 def test_batched_reference_gives_none_over_budget():
-    # two quadrics in P^4 cut a surface whose window neither persists nor
-    # settles before its 2730 x 2380 piece at t = 13; one live quadric
-    # persists from its second value
+    # three quadrics in P^4 cut a curve of degree 8 whose window neither
+    # persists nor goes flat before its 3003 x 1820 piece at t = 12; two
+    # coprime quadrics stop at their first piece, on a surface, and one live
+    # quadric persists from its second value
     f = gf(2)
     x = [MultiPoly.variable(f, 4, i) for i in range(5)]
     zero = MultiPoly.zero(f, 4, 2)
-    block = as_block([[x[0] * x[1], x[2] * x[3]], [x[0] * x[1], zero], [x[0] * x[0], x[1] * x[1]]])
-    assert batch_projective_dim_hilbert(f, 4, [2, 2], block) == [None, 3, None]
-    assert batch_projective_dim_hilbert(f, 4, [2, 2], block[:0]) == []
-    with pytest.raises(BudgetError, match=r"degree-13 piece needs a 2730x2380 matrix"):
-        projective_dim_hilbert([x[0] * x[1], x[2] * x[3]])
+    curve = [x[0] * x[1], x[2] * x[3], x[4] * x[4]]
+    block = as_block([curve, [x[0] * x[1], x[2] * x[3], zero], [x[0] * x[1], zero, zero],
+                      [x[0] * x[0], x[1] * x[1], zero]])
+    assert batch_projective_dim_hilbert(f, 4, [2, 2, 2], block) == [None, 2, 3, 2]
+    assert batch_projective_dim_hilbert(f, 4, [2, 2, 2], block[:0]) == []
+    with pytest.raises(BudgetError, match=r"degree-12 piece needs a 3003x1820 matrix"):
+        projective_dim_hilbert(curve)
     # three linear forms in P^4 cut a line, fixed by h(1) = 2, h(2) = 3: no
     # piece past t = 2 is built
     assert projective_dim_hilbert(x[:3]) == 1
@@ -435,8 +438,8 @@ def test_budget_error_names_the_sample(monkeypatch):
 
 
 def test_persistence_decides_within_three_steps(monkeypatch):
-    # a double line and a line persist at their second value, where the
-    # finite-difference estimate needs 2r + 3 = 7
+    # a double line and a line persist at their second value, where a
+    # finite-difference window of 2r + 3 values would need 7
     f = gf(2)
     line, conic = MultiPoly.variable(f, 2, 0), MultiPoly.variable(f, 2, 1).square()
     monkeypatch.setattr(hilbert, "MAX_WINDOW_STEPS", 3)
@@ -480,40 +483,59 @@ def test_linear_windows_match_the_point_count(spec, r):
     ((2, 1), 3, (2, 2, 2)), ((3, 1), 3, (1, 2, 2)), ((2, 1), 3, (2, 3)),
     # two cubics on P^3 persist only at t = 27, the Gotzmann number of
     # 9t - 9, past the degree-20 piece the budget refuses: on the dense rows
-    # the fallback decides
+    # they stop at their first piece, as a coprime pair
     ((2, 1), 3, (3, 3)),
 ])
-def test_persistence_agrees_with_the_heuristic_window(monkeypatch, spec, r, degrees):
-    # every dimension persistence fixes is the one the finite-difference
-    # window alone reaches; sparse rows give lines, planes and empty loci
+def test_persistence_agrees_with_the_heuristic_window(spec, r, degrees):
+    # every dimension the exact stops fix is the one the finite-difference
+    # window of the reference reaches; sparse rows give lines, planes and
+    # empty loci
     field = gf(*spec)
     rng = np.random.default_rng([field.q, r, *degrees])
     block = rng.integers(0, field.q, size=(30, sum(n_monomials(r, d) for d in degrees)),
                          dtype=np.uint16)
     block[:15][rng.random((15, block.shape[1])) < 0.6] = 0
     dims = batch_projective_dim_hilbert(field, r, degrees, block)
-    monkeypatch.setattr(hilbert, "_persistent_dim", lambda h, h_next, t: None)
-    assert batch_projective_dim_hilbert(field, r, degrees, block) == dims
     assert None not in dims and len(set(dims)) > 1
-    if degrees == (3, 3):
-        # the last 2r + 3 values against r + 2 agreeing windows of r + 2: the
-        # stateful reference ranks one piece per h value, so equal degrees of
-        # the pieces ranked mean every window stops on the same step
-        ends = np.cumsum([n_monomials(r, d) for d in degrees])[:-1]
-        samples = [[MultiPoly(field, r, d, c) for d, c in zip(degrees, np.split(row, ends))]
-                   for row in block]
-        ranked: list[int] = []
-        piece_ranks = hilbert._piece_ranks
+    ends = np.cumsum([n_monomials(r, d) for d in degrees])[:-1]
+    samples = [[MultiPoly(field, r, d, c) for d, c in zip(degrees, np.split(row, ends))]
+               for row in block]
+    assert [window_dim(g, field, r) for g in samples] == dims
 
-        def counted(f, n, t, d, coeffs):
-            ranked.extend([t] * len(coeffs[0]))
-            return piece_ranks(f, n, t, d, coeffs)
 
-        monkeypatch.setattr(hilbert, "_piece_ranks", counted)
-        assert batch_projective_dim_hilbert(field, r, degrees, block) == dims
-        batched, ranked[:] = sorted(ranked), []
-        assert [window_dim(g, field, r) for g in samples] == dims
-        assert sorted(ranked) == batched
+def cube(x):
+    return x * x * x
+
+
+@pytest.mark.parametrize("r, forms, dim, ranked", [
+    # the common factor x0 gives the syzygy x2 * x0x1 = x1 * x0x2 in degree
+    # t0 = 3, so the pair goes on to persistence, at its second value
+    (3, lambda x: [x[0] * x[1], x[0] * x[2]], 2, [3, 4]),
+    # coprime pairs stop at t0 with dimension r - 2
+    (3, lambda x: [cube(x[0]), cube(x[1])], 1, [5]),
+    (4, lambda x: [x[0] * x[1], x[2] * x[3]], 2, [3]),
+    # a constant and a linear form have independent rows at t0 = 0 too, but
+    # an empty locus
+    (2, lambda x: [MultiPoly(x[0].field, 2, 0, [1]), x[0]], -1, [0, 1]),
+    # 27 points: h(7) = h(8) = 27 persists at the earliest on the degree-28
+    # piece, over the budget, so no piece past t = 8 is ranked
+    (3, lambda x: [cube(x[0]), cube(x[1]), cube(x[2])], None, [7, 8]),
+], ids=["common-factor", "coprime-cubics", "coprime-quadrics", "constant", "flat"])
+def test_window_stops_on_an_exact_rule_or_is_refused(monkeypatch, r, forms, dim, ranked):
+    f = gf(2)
+    gens = forms([MultiPoly.variable(f, r, i) for i in range(r + 1)])
+    seen: list[int] = []
+    piece_ranks = hilbert._piece_ranks
+    monkeypatch.setattr(hilbert, "_piece_ranks",
+                        lambda *args: seen.append(args[2]) or piece_ranks(*args))
+    block = as_block([gens])
+    assert batch_projective_dim_hilbert(f, r, [g.d for g in gens], block) == [dim]
+    assert seen == ranked
+    if dim is None:
+        with pytest.raises(BudgetError, match=r"degree-28 piece needs a 9828x4495 matrix"):
+            projective_dim_hilbert(gens)
+    else:
+        assert projective_dim_hilbert(gens) == dim
 
 
 @pytest.mark.parametrize("r, degrees, message", [
@@ -551,6 +573,9 @@ def test_blocks_of_the_wrong_shape_or_codes_are_rejected():
             batch_projective_dim_hilbert(f, 2, [2, 1], block)
     with pytest.raises(ParameterError, match=r"need an \(n, 9\) block"):
         batch_dim_at_least(f, 2, [2, 1], good[:, :8], 5)
+    # a form of degree -1 has no coefficients, and no window
+    with pytest.raises(ParameterError, match=r"need degrees >= 0, got \[-1\]"):
+        batch_projective_dim_hilbert(gf(3), 2, [-1], np.zeros((1, 0)))
 
 
 @pytest.mark.parametrize("field, r", [(gf(2), 5), (gf(2), None), (None, 5), (gf(3), 3)],

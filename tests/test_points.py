@@ -196,6 +196,8 @@ def test_batched_probe_budget_and_m_max(monkeypatch):
     block[0, 0] = block[2, 5] = 1
     with pytest.raises(ParameterError):
         batch_projective_dim_points(field, 5, [1], block, m_max=4)
+    with pytest.raises(ParameterError, match=r"need degrees >= 0, got \[-1\]"):
+        batch_projective_dim_points(gf(3), 2, [-1], np.zeros((1, 0)))
     monkeypatch.setattr(points, "MAX_POINTS", 10)
     # no extension fits: every row with a nonzero form gets None
     assert batch_projective_dim_points(field, 5, [1], block) == [

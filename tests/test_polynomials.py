@@ -41,6 +41,10 @@ def test_multipoly_construction_checks():
         MultiPoly(f, 2, 2, [0, 0, 0])  # wrong length
     with pytest.raises(ParameterError):
         MultiPoly(f, 1, 1, [2, 0])  # code out of range
+    # codes that are not integers are refused, not truncated
+    for codes in ([1.5, 0], [0.9, 0], ["1", 0]):
+        with pytest.raises(ParameterError, match="must be integers"):
+            MultiPoly(gf(3), 1, 1, codes)
     # an exponent of the wrong length, degree or sign, and a negative code
     for terms in ({(1, 1): 1}, {(1, 1, 1): 1}, {(1, 2, -1): 1}, {(2, 0, 0): -1}):
         with pytest.raises(ParameterError):
